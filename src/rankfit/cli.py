@@ -518,10 +518,16 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, see
 
     per_job = []
     excluded = []
+    first_line: dict[str, int] = {}
     for lineno, rec in iter_jsonl(reranked_path):
         job_id = rec.get("job_id")
         if job_id not in by_job:
             raise MalformedRecord(f"reranked job {job_id!r} not found in pools", line=lineno)
+        if job_id in first_line:
+            raise MalformedRecord(
+                f"reranked job {job_id!r} repeats line {first_line[job_id]}", line=lineno
+            )
+        first_line[job_id] = lineno
         pool = by_job[job_id]
         final = rec.get("final", [])
         if sorted(final) != sorted(pool.candidates):
@@ -624,6 +630,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     ranker_name = _resolve(ranker_name, config, "ranker", "builtin", default="noisy")
     p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
     t = _resolve(t, config, "engine", "iterations", default=2)
+    pool_size = _resolve(None, config, "engine", "pool_size", default=20)
     corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
     labels = load_labels(_require_path(_resolve(labels_path, config, "paths", "labels"), "labels"))
     pools = load_pools(
@@ -631,11 +638,11 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
         labels,
         resume_ids={i for i, d in corpus.items() if d.kind == KIND_RESUME},
     )
-    pools = [p for p in pools if len(p.candidates) == 20 and p.accepted_ids]
+    pools = [p for p in pools if len(p.candidates) == pool_size and p.accepted_ids]
     ranker = _make_ranker(ranker_name, accepted_by_job(labels), p_flip, seed, config)
 
     grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
-    rows, rejected = engine_ablate(pools, ranker, grid_points, corpus, max_workers=jobs)
+    rows, rejected = engine_ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=jobs)
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
@@ -644,7 +651,12 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"rows": rows, "rejected": rejected}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    effective = {"grid": grid, "iterations": t, "ranker": {"name": ranker_name, "p_flip": p_flip}}
+    effective = {
+        "grid": grid,
+        "iterations": t,
+        "pool_size": pool_size,
+        "ranker": {"name": ranker_name, "p_flip": p_flip},
+    }
     _write_meta(out, effective, seed)
 
     click.echo(f"{'setting':<14} {'nDCG@10':>8} {'Recall@10':>10} {'comp/iter':>10}")

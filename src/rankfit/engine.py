@@ -172,7 +172,6 @@ def evaluate_run(
     corpus: Mapping[str, Document],
     metric_k: int = 10,
     max_workers: int = 1,
-    collect_traces: bool = False,
 ):
     """Re-rank every pool and report nDCG@k / Recall@k before and after.
 
@@ -225,8 +224,6 @@ def evaluate_run(
         },
         "excluded": sorted(excluded),
     }
-    if collect_traces:
-        return report, traces
     return report
 
 

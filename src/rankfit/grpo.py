@@ -24,9 +24,9 @@ standard per-sample log-ratio average over the group.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,9 +57,7 @@ class PLPolicy:
 
     def features(self, window: Window) -> np.ndarray:
         """Feature matrix (k x d) for the window's presented candidates."""
-        return np.stack(
-            [np.asarray(self.feature_fn(window, cid), dtype=float) for cid in window.presented_ids()]
-        )
+        return np.array([self.feature_fn(window, cid) for cid in window.presented_ids()], dtype=float)
 
     def scores(self, window: Window) -> np.ndarray:
         return self.features(window) @ self.theta
@@ -95,79 +93,91 @@ class GrpoConfig:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+@functools.lru_cache(maxsize=None)
+def _perm_table(k: int) -> np.ndarray:
+    """All k! orderings of range(k), one per row, in itertools order (read-only)."""
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
-def _perm_indices(window: Window, ordering: Sequence[str]) -> list[int]:
+def _perm_indices(window: Window, orderings: Sequence[Sequence[str]]) -> np.ndarray:
+    """Orderings of the window's candidates as an (n x k) array of presented-slot indices."""
     ids = window.presented_ids()
-    if sorted(ordering) != sorted(ids):
-        raise InvalidOrdering(
-            f"ordering {ordering!r} is not a permutation of window {window.window_id}"
-        )
+    expected = sorted(ids)
     index = {cid: i for i, cid in enumerate(ids)}
-    return [index[cid] for cid in ordering]
+    rows = []
+    for ordering in orderings:
+        if sorted(ordering) != expected:
+            raise InvalidOrdering(
+                f"ordering {ordering!r} is not a permutation of window {window.window_id}"
+            )
+        rows.append([index[cid] for cid in ordering])
+    return np.array(rows, dtype=np.intp)
 
 
-def _logprob_terms(scores: np.ndarray, feats: np.ndarray, perm: Sequence[int]):
-    """Per-step (prob, grad-of-log-prob) for the k-1 nontrivial selections."""
-    remaining = list(range(len(scores)))
-    probs: list[float] = []
-    grads: list[np.ndarray] = []
-    for chosen in perm[:-1]:
-        window_scores = scores[remaining]
-        p = _softmax(window_scores)
-        pos = remaining.index(chosen)
-        probs.append(float(p[pos]))
-        grads.append(feats[chosen] - p @ feats[remaining])
-        remaining.pop(pos)
-    return probs, grads
+def _pl_steps(scores: np.ndarray, feats: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plackett-Luce selection steps of every ordering in ``perms`` (n x k).
+
+    Step t picks perms[:, t] from perms[:, t:]. Returns the per-step
+    log-probabilities (n x k-1) and their gradients in theta (n x k-1 x d):
+    the chosen candidate's features minus their mean under the step's softmax.
+    """
+    k = perms.shape[1]
+    s = scores[perms]
+    f = feats[perms]
+    left = np.arange(k) >= np.arange(k - 1)[:, None]  # left[t, j]: perms[:, j] not chosen before step t
+    logits = np.where(left, s[:, None, :], -np.inf)
+    top = logits.max(axis=2, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=2, keepdims=True)
+    logp = s[:, : k - 1] - (top + np.log(total))[:, :, 0]
+    return logp, f[:, : k - 1] - (exp / total) @ f
 
 
-def _logprob(scores: np.ndarray, perm: Sequence[int]) -> float:
-    remaining = list(range(len(scores)))
-    total = 0.0
-    for chosen in perm[:-1]:
-        window_scores = scores[remaining]
-        lse = window_scores.max() + math.log(np.exp(window_scores - window_scores.max()).sum())
-        total += float(scores[chosen]) - lse
-        remaining.remove(chosen)
-    return total
+def _policy_steps(policy: PLPolicy, window: Window, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    feats = policy.features(window)
+    return _pl_steps(feats @ policy.theta, feats, perms)
 
 
 def pl_log_prob(policy: PLPolicy, window: Window, ordering: Sequence[str]) -> float:
     """Log-likelihood of an ordering under the policy; always <= 0."""
-    perm = _perm_indices(window, ordering)
-    return _logprob(policy.scores(window), perm)
+    logp, _ = _policy_steps(policy, window, _perm_indices(window, [ordering]))
+    return float(logp.sum())
 
 
 def pl_log_prob_grad(policy: PLPolicy, window: Window, ordering: Sequence[str]) -> tuple[float, np.ndarray]:
-    perm = _perm_indices(window, ordering)
-    feats = policy.features(window)
-    scores = feats @ policy.theta
-    probs, grads = _logprob_terms(scores, feats, perm)
-    logp = sum(math.log(p) for p in probs)
-    return logp, np.sum(grads, axis=0)
+    logp, grads = _policy_steps(policy, window, _perm_indices(window, [ordering]))
+    return float(logp.sum()), grads[0].sum(axis=0)
 
 
-def _sample_perm(scores: np.ndarray, rng: random.Random) -> tuple[int, ...]:
-    remaining = list(range(len(scores)))
-    perm: list[int] = []
-    while len(remaining) > 1:
-        probs = _softmax(scores[remaining])
-        x = rng.random()
-        cum = 0.0
-        pick = len(remaining) - 1
-        for idx, p in enumerate(probs):
-            cum += p
-            if x < cum:
-                pick = idx
-                break
-        perm.append(remaining.pop(pick))
-    perm.append(remaining[0])
-    return tuple(perm)
+def _draws(rng: random.Random, n: int, k: int) -> np.ndarray:
+    """The k-1 uniform draws each of n sampled orderings consumes, in sampling order."""
+    return np.array([rng.random() for _ in range(n * (k - 1))]).reshape(n, k - 1)
+
+
+def _sample_perms(scores: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One Plackett-Luce ordering per row of ``scores`` (n x k), by inverse CDF.
+
+    Each step takes the softmax over the remaining candidates in index order,
+    accumulates it left to right and picks the first candidate whose running
+    sum exceeds the step's draw, or the last one when rounding leaves the draw
+    above the total.
+    """
+    n, k = scores.shape
+    rows = np.arange(n)
+    left = np.tile(np.arange(k), (n, 1))
+    perms = np.empty((n, k), dtype=np.intp)
+    for t in range(k - 1):
+        logits = scores[rows[:, None], left]
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        below = draws[:, t, None] < np.cumsum(exp / exp.sum(axis=1, keepdims=True), axis=1)
+        # the running sums rise, so the first one above the draw follows those that are not
+        pos = np.minimum((~below).sum(axis=1), k - t - 1)
+        perms[:, t] = left[rows, pos]
+        left = left[np.arange(k - t) != pos[:, None]].reshape(n, k - t - 1)
+    perms[:, k - 1] = left[:, 0]
+    return perms
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +199,26 @@ def window_reward(window: Window, ordering: Sequence[str], mode: str = "rearank"
     return rearank_reward(ndcg(rels_old, k), ndcg(rels_new, k), 1.0)
 
 
+def _rank_rewards(window: Window, mode: str) -> np.ndarray:
+    """``window_reward`` of an ordering with the gold at rank 0..k-1.
+
+    Both reward modes depend on the ordering only through the gold's rank.
+    """
+    others = [cid for cid in window.presented_ids() if cid != window.gold_id]
+    return np.array(
+        [window_reward(window, (*others[:r], window.gold_id, *others[r:]), mode) for r in range(len(others) + 1)]
+    )
+
+
 def sample_group(policy: PLPolicy, window: Window, cfg: GrpoConfig, rng: random.Random) -> RewardGroup:
     """Sample ``group_size`` orderings, score them, and standardize advantages."""
-    feats = policy.features(window)
-    scores = feats @ policy.theta
     ids = window.presented_ids()
-    samples: list[tuple[tuple[str, ...], float]] = []
-    for _ in range(cfg.group_size):
-        perm = _sample_perm(scores, rng)
-        ordering = tuple(ids[i] for i in perm)
-        samples.append((ordering, window_reward(window, ordering, cfg.reward)))
-    advantages = group_advantages([reward for _, reward in samples])
-    return RewardGroup(window_id=window.window_id, samples=samples, advantages=advantages)
+    scores = np.broadcast_to(policy.scores(window), (cfg.group_size, len(ids)))
+    perms = _sample_perms(scores, _draws(rng, cfg.group_size, len(ids)))
+    gold_rank = (perms == window.gold_slot() - 1).argmax(axis=1)
+    rewards = _rank_rewards(window, cfg.reward)[gold_rank].tolist()
+    samples = [(tuple([ids[i] for i in perm]), reward) for perm, reward in zip(perms.tolist(), rewards)]
+    return RewardGroup(window_id=window.window_id, samples=samples, advantages=group_advantages(rewards))
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +233,23 @@ def kl_exact(policy: PLPolicy, ref: PLPolicy, window: Window) -> tuple[float, np
     the +1 keeps the gradient exact for the value as computed (the sum of
     p * grad_logp vanishes analytically over the full enumeration).
     """
-    feats = policy.features(window)
-    scores = feats @ policy.theta
-    ref_scores = ref.scores(window)
-    value = 0.0
-    grad = np.zeros_like(policy.theta)
-    for perm in itertools.permutations(range(len(scores))):
-        probs, grads = _logprob_terms(scores, feats, perm)
-        logp = sum(math.log(p) for p in probs)
-        diff = logp - _logprob(ref_scores, perm)
-        p = math.exp(logp)
-        value += p * diff
-        grad += p * (diff + 1.0) * np.sum(grads, axis=0)
-    return value, grad
+    table = _perm_table(len(window.candidate_ids))
+    logp, grads = _policy_steps(policy, window, table)
+    ref_logp, _ = _policy_steps(ref, window, table)
+    logp = logp.sum(axis=1)
+    diff = logp - ref_logp.sum(axis=1)
+    p = np.exp(logp)
+    return float(p @ diff), (p * (diff + 1.0)) @ grads.sum(axis=1)
 
 
 def kl_sampled(
     policy: PLPolicy, ref: PLPolicy, window: Window, orderings: Sequence[Sequence[str]]
 ) -> tuple[float, np.ndarray]:
     """Per-sample log-ratio estimator averaged over the group, as a function of theta."""
-    total = 0.0
-    grad = np.zeros_like(policy.theta)
-    ref_scores = ref.scores(window)
-    for ordering in orderings:
-        perm = _perm_indices(window, ordering)
-        logp, g = pl_log_prob_grad(policy, window, ordering)
-        total += logp - _logprob(ref_scores, perm)
-        grad += g
-    n = len(orderings)
-    return total / n, grad / n
+    perms = _perm_indices(window, orderings)
+    logp, grads = _policy_steps(policy, window, perms)
+    ref_logp, _ = _policy_steps(ref, window, perms)
+    return float(np.mean(logp.sum(axis=1) - ref_logp.sum(axis=1))), grads.sum(axis=(0, 1)) / len(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +259,8 @@ def kl_sampled(
 
 def group_step_probs(policy: PLPolicy, window: Window, group: RewardGroup) -> list[list[float]]:
     """Per-sample selection-step probabilities under ``policy`` (ratio denominators)."""
-    feats = policy.features(window)
-    scores = feats @ policy.theta
-    out = []
-    for ordering, _ in group.samples:
-        perm = _perm_indices(window, ordering)
-        probs, _ = _logprob_terms(scores, feats, perm)
-        out.append(probs)
-    return out
+    logp, _ = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
+    return np.exp(logp).tolist()
 
 
 def surrogate(
@@ -276,17 +276,7 @@ def surrogate(
     (1/|G|) sum_i adv_i * (1/(k-1)) sum_t pi_theta(step)/denom - beta * KL.
     ``denoms`` holds the sampling-time step probabilities.
     """
-    feats = policy.features(window)
-    scores = feats @ policy.theta
-    k = len(window.candidate_ids)
-    pg = 0.0
-    for (ordering, _), adv, denom in zip(group.samples, group.advantages, denoms):
-        perm = _perm_indices(window, ordering)
-        probs, _ = _logprob_terms(scores, feats, perm)
-        pg += adv * sum(p / d for p, d in zip(probs, denom)) / (k - 1)
-    pg /= len(group.samples)
-    kl, _ = _kl(policy, ref, window, group, cfg)
-    return pg - cfg.beta * kl
+    return surrogate_grad(policy, ref, window, group, cfg, denoms)[0]
 
 
 def _kl(policy, ref, window, group, cfg) -> tuple[float, np.ndarray]:
@@ -309,25 +299,14 @@ def surrogate_grad(
     current step probabilities, every ratio is 1, and the policy-gradient part
     reduces to the advantage-weighted score function.
     """
-    feats = policy.features(window)
-    scores = feats @ policy.theta
-    k = len(window.candidate_ids)
-    if denoms is None:
-        denoms = group_step_probs(policy, window, group)
-    value = 0.0
-    grad = np.zeros_like(policy.theta)
-    for (ordering, _), adv, denom in zip(group.samples, group.advantages, denoms):
-        perm = _perm_indices(window, ordering)
-        probs, grads = _logprob_terms(scores, feats, perm)
-        ratios = [p / d for p, d in zip(probs, denom)]
-        value += adv * sum(ratios) / (k - 1)
-        step_grad = np.sum([r * g for r, g in zip(ratios, grads)], axis=0)
-        grad += adv * step_grad / (k - 1)
-    n = len(group.samples)
-    value /= n
-    grad /= n
+    logp, grads = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
+    probs = np.exp(logp)
+    ratios = probs / (probs if denoms is None else np.asarray(denoms, dtype=float))
+    # ratios.size = |G| * (k-1): the group mean times the length normalization
+    weights = np.asarray(group.advantages)[:, None] * ratios / ratios.size
     kl, kl_grad = _kl(policy, ref, window, group, cfg)
-    return value - cfg.beta * kl, grad - cfg.beta * kl_grad, kl
+    grad = weights.reshape(-1) @ grads.reshape(weights.size, -1)
+    return float(weights.sum()) - cfg.beta * kl, grad - cfg.beta * kl_grad, kl
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +374,38 @@ def grpo_step(
     return new_policy, stats
 
 
-def greedy_ndcg4(policy: PLPolicy, windows: Sequence[Window]) -> float:
-    """Mean nDCG@4 when each window is ranked greedily by policy score."""
-    total = 0.0
-    for window in windows:
-        scores = policy.scores(window)
-        order = np.argsort(-scores, kind="stable")
-        ids = window.presented_ids()
-        rels = [1 if ids[i] == window.gold_id else 0 for i in order]
-        total += ndcg(rels, len(ids))
-    return total / len(windows)
+def _window_features(policy: PLPolicy, windows: Sequence[Window]) -> np.ndarray:
+    """The windows' feature matrices stacked into one (W x k x d) array; k must be the same for all."""
+    if not windows:
+        raise ConfigError("no windows to evaluate")
+    k = len(windows[0].candidate_ids)
+    odd = next((w for w in windows if len(w.candidate_ids) != k), None)
+    if odd is not None:
+        raise ConfigError(
+            f"window {odd.window_id} has {len(odd.candidate_ids)} candidates where "
+            f"window {windows[0].window_id} has {k}; all windows need the same count"
+        )
+    return np.stack([policy.features(window) for window in windows])
+
+
+def _running_total(values: np.ndarray) -> float:
+    """Left-to-right sum, in the order a ``total += v`` loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(values)[-1])
+
+
+def greedy_ndcg4(policy: PLPolicy, windows: Sequence[Window], feats: np.ndarray | None = None) -> float:
+    """Mean nDCG@4 when each window is ranked greedily by policy score.
+
+    ``feats`` is the windows' stacked (W x k x d) feature array, for callers
+    that evaluate the same windows repeatedly.
+    """
+    if feats is None:
+        feats = _window_features(policy, windows)
+    k = feats.shape[1]
+    gains = np.array([ndcg([int(i == rank) for i in range(k)], k) for rank in range(k)])
+    order = np.argsort(-(feats @ policy.theta), axis=1, kind="stable")
+    gold = np.array([window.gold_slot() - 1 for window in windows])
+    return _running_total(gains[(order == gold[:, None]).argmax(axis=1)]) / len(windows)
 
 
 def evaluate_mean_reward(
@@ -415,19 +416,16 @@ def evaluate_mean_reward(
     samples_per_window: int = 8,
 ) -> float:
     """Monte-Carlo estimate of the expected reward under the policy."""
-    total = 0.0
-    count = 0
-    for window in windows:
-        feats = policy.features(window)
-        scores = feats @ policy.theta
-        ids = window.presented_ids()
-        rng = child_rng(cfg.rng_seed, f"eval:{seed_tag}:{window.window_id}")
-        for _ in range(samples_per_window):
-            perm = _sample_perm(scores, rng)
-            ordering = tuple(ids[i] for i in perm)
-            total += window_reward(window, ordering, cfg.reward)
-            count += 1
-    return total / count
+    feats = _window_features(policy, windows)
+    k = feats.shape[1]
+    draws = np.concatenate(
+        [_draws(child_rng(cfg.rng_seed, f"eval:{seed_tag}:{w.window_id}"), samples_per_window, k) for w in windows]
+    )
+    perms = _sample_perms(np.repeat(feats @ policy.theta, samples_per_window, axis=0), draws)
+    gold = np.repeat([w.gold_slot() - 1 for w in windows], samples_per_window)
+    table = np.repeat([_rank_rewards(w, cfg.reward) for w in windows], samples_per_window, axis=0)
+    rewards = table[np.arange(len(perms)), (perms == gold[:, None]).argmax(axis=1)]
+    return _running_total(rewards) / len(rewards)
 
 
 def train(policy: PLPolicy, windows: Sequence[Window], cfg: GrpoConfig) -> TrainResult:
@@ -439,6 +437,7 @@ def train(policy: PLPolicy, windows: Sequence[Window], cfg: GrpoConfig) -> Train
     if not windows:
         raise ConfigError("train requires at least one window")
     ref = policy.clone()
+    feats = _window_features(policy, windows)
     curve: list[CurvePoint] = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -454,7 +453,7 @@ def train(policy: PLPolicy, windows: Sequence[Window], cfg: GrpoConfig) -> Train
                     mean_reward=stats.mean_reward,
                     kl=stats.kl,
                     grad_norm=stats.grad_norm,
-                    eval_ndcg4=greedy_ndcg4(policy, windows),
+                    eval_ndcg4=greedy_ndcg4(policy, windows, feats),
                 )
             )
     return TrainResult(policy=policy, ref=ref, curve=curve)

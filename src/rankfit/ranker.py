@@ -324,6 +324,8 @@ class ChatCompletionsClient:
             "top_p": sampling.top_p,
             "max_tokens": sampling.max_tokens,
         }
+        if sampling.top_k is not None:
+            payload["top_k"] = sampling.top_k
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"

@@ -84,3 +84,102 @@ def recount_skips(pool_records, label_records, min_pool=20, m_max=11, neg_needed
         else:
             outcome[job] = None
     return outcome
+
+
+# Plackett-Luce policy over orderings of k candidates, written as plain loops.
+# ``scores`` and ``feats`` are lists indexed by candidate; ``perm`` lists
+# candidate indices best first; theta gradients are lists of length d.
+
+
+def pl_step_terms(scores, feats, perm):
+    """Log-probability and theta-gradient of each nontrivial selection step.
+
+    Step t picks perm[t] from the candidates not picked before it, with
+    probability exp(score) / sum of exp(score) over those candidates.
+    """
+    remaining = list(range(len(scores)))
+    logps, grads = [], []
+    for chosen in perm[:-1]:
+        top = max(scores[i] for i in remaining)
+        weights = [math.exp(scores[i] - top) for i in remaining]
+        total = sum(weights)
+        logps.append(scores[chosen] - top - math.log(total))
+        grads.append(
+            [
+                feats[chosen][j] - sum(w * feats[i][j] for w, i in zip(weights, remaining)) / total
+                for j in range(len(feats[chosen]))
+            ]
+        )
+        remaining.remove(chosen)
+    return logps, grads
+
+
+def pl_log_prob(scores, feats, perm):
+    return sum(pl_step_terms(scores, feats, perm)[0])
+
+
+def kl_by_enumeration(scores, ref_scores, feats):
+    """KL(pi || pi_ref) summed over all k! orderings, and its theta-gradient.
+
+    The gradient is sum_perm p * (log p - log q + 1) * grad log p.
+    """
+    value = 0.0
+    grad = [0.0] * len(feats[0])
+    for perm in itertools.permutations(range(len(scores))):
+        logps, grads = pl_step_terms(scores, feats, perm)
+        logp = sum(logps)
+        diff = logp - pl_log_prob(ref_scores, feats, perm)
+        p = math.exp(logp)
+        value += p * diff
+        for j in range(len(grad)):
+            grad[j] += p * (diff + 1.0) * sum(g[j] for g in grads)
+    return value, grad
+
+
+def surrogate_by_loops(scores, ref_scores, feats, perms, advantages, beta, denoms=None):
+    """(value, gradient, kl) of the GRPO surrogate (no clipping) with exact KL.
+
+    value = (1/n) sum_i adv_i (1/(k-1)) sum_t p_t/denom_t - beta * KL; with
+    ``denoms`` omitted every ratio is evaluated on-policy.
+    """
+    n = len(perms)
+    d = len(feats[0])
+    value = 0.0
+    grad = [0.0] * d
+    for i, perm in enumerate(perms):
+        logps, grads = pl_step_terms(scores, feats, perm)
+        steps = len(logps)
+        for t in range(steps):
+            p = math.exp(logps[t])
+            ratio = p / (p if denoms is None else denoms[i][t])
+            value += advantages[i] * ratio / (steps * n)
+            for j in range(d):
+                grad[j] += advantages[i] * ratio * grads[t][j] / (steps * n)
+    kl, kl_grad = kl_by_enumeration(scores, ref_scores, feats)
+    return value - beta * kl, [g - beta * h for g, h in zip(grad, kl_grad)], kl
+
+
+def pl_sample(scores, rng):
+    """One ordering drawn step by step, one ``rng.random()`` per nontrivial step.
+
+    Each step walks the remaining candidates in index order, adding up their
+    softmax probabilities, and picks the first whose running sum exceeds the
+    draw (the last one if the draw is above the total).
+    """
+    remaining = list(range(len(scores)))
+    perm = []
+    while len(remaining) > 1:
+        top = max(scores[i] for i in remaining)
+        weights = [math.exp(scores[i] - top) for i in remaining]
+        total = sum(weights)
+        x = rng.random()
+        cum = 0.0
+        pick = len(remaining) - 1
+        for idx, w in enumerate(weights):
+            cum += w / total
+            if x < cum:
+                pick = idx
+                break
+        perm.append(remaining.pop(pick))
+    perm.append(remaining[0])
+    return perm

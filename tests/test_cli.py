@@ -308,6 +308,37 @@ class TestRerankEvaluateAblate:
         assert report["macro"]["ndcg10_before"] == report["macro"]["ndcg10_after"]
         assert report["macro"]["recall10_before"] == report["macro"]["recall10_after"]
 
+    def test_evaluate_rejects_repeated_job(self, dataset, runner, tmp_path):
+        reranked = tmp_path / "reranked.jsonl"
+        invoke(
+            runner,
+            [
+                "rerank",
+                "--pools", str(dataset / "pools.jsonl"),
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--labels", str(dataset / "labels.jsonl"),
+                "--out", str(reranked),
+                "--ranker", "identity",
+            ],
+        )
+        lines = reranked.read_text().splitlines()
+        reranked.write_text("\n".join([*lines, lines[0]]) + "\n")
+        result = invoke(
+            runner,
+            [
+                "evaluate",
+                "--pools", str(dataset / "pools.jsonl"),
+                "--labels", str(dataset / "labels.jsonl"),
+                "--reranked", str(reranked),
+                "--out", str(tmp_path / "report.json"),
+            ],
+        )
+        assert result.exit_code == 2
+        job_id = json.loads(lines[0])["job_id"]
+        assert f"line {len(lines) + 1}" in result.output
+        assert repr(job_id) in result.output
+        assert not (tmp_path / "report.json").exists()
+
     def test_trace_flag_writes_trace(self, dataset, runner, tmp_path):
         reranked = tmp_path / "reranked.jsonl"
         result = invoke(
@@ -348,6 +379,41 @@ class TestRerankEvaluateAblate:
         table = json.loads(out.read_text())
         comps = [row["comparisons_per_iter"] for row in table["rows"]]
         assert comps == [19, 18, 10, 17, 9, 7]
+
+    def test_ablate_uses_configured_pool_size(self, runner, tmp_path):
+        gen_config = tmp_path / "gen.json"
+        gen_config.write_text(json.dumps({"synthetic": {"pool_size": 12, "frac_many_positives": 0.0}}))
+        data = tmp_path / "data"
+        result = invoke(
+            runner,
+            ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "20", "--n-background", "100",
+             "--seed", "3", "--config", str(gen_config)],
+        )
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({"engine": {"pool_size": 12}}))
+        out = tmp_path / "ablation.json"
+        result = invoke(
+            runner,
+            [
+                "ablate",
+                "--pools", str(data / "pools.jsonl"),
+                "--corpus", str(data / "corpus.jsonl"),
+                "--labels", str(data / "labels.jsonl"),
+                "--out", str(out),
+                "-t", "1",
+                "--ranker", "oracle",
+                "--config", str(config),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(out.read_text())["rows"]
+        # 1 + ceil((12 - k) / s) for the default grid 2:1,3:1,3:2,4:1,4:2,4:3
+        assert [row["comparisons_per_iter"] for row in rows] == [11, 10, 6, 9, 5, 4]
+        # the 12-candidate pools were re-ranked rather than filtered out
+        assert all(row["ndcg10"] > 0 for row in rows)
+        meta = json.loads((tmp_path / "ablation.json.meta.json").read_text())
+        assert meta["config"]["pool_size"] == 12
 
 
 class TestDistillCli:
@@ -448,3 +514,37 @@ class TestSimulateGrpoCli:
         assert result.exit_code == 0, result.output
         policy = json.loads((out_dir / "policy.json").read_text())
         assert policy["feature_names"] == ["noise_0", "noise_1"]
+
+    def test_mixed_candidate_counts_exit_2(self, dataset, built_windows, runner, tmp_path):
+        records = [json.loads(line) for line in built_windows.read_text().splitlines()]
+        short = dict(records[0], window_id="short/0", presented_order=[1, 2, 3])
+        short["candidates"] = [c for c in short["candidates"] if c != short["gold"]][:2] + [short["gold"]]
+        mixed = tmp_path / "mixed.jsonl"
+        write_jsonl(records + [short], mixed)
+        result = invoke(
+            runner,
+            [
+                "simulate-grpo",
+                "--windows", str(mixed),
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--out-dir", str(tmp_path / "grpo-mixed"),
+                "--epochs", "1",
+            ],
+        )
+        assert result.exit_code == 2
+        assert "error:" in result.output and "short/0 has 3 candidates" in result.output
+
+    def test_empty_windows_file_exit_2(self, dataset, runner, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        result = invoke(
+            runner,
+            [
+                "simulate-grpo",
+                "--windows", str(empty),
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--out-dir", str(tmp_path / "grpo-empty"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "error: no windows" in result.output

@@ -25,9 +25,11 @@ from rankfit.grpo import (
     window_reward,
 )
 from rankfit.metrics import RewardGroup, group_advantages
+from rankfit.seeding import child_rng
 from rankfit.synthetic import SyntheticConfig, generate
 from rankfit.windows import PipelineConfig, build_all_windows
 
+import oracles
 from conftest import make_window
 from oracles import central_difference_grad
 
@@ -211,10 +213,11 @@ class TestKl:
         rng = random.Random(5)
         feats = policy.features(window)
         scores = feats @ policy.theta
-        from rankfit.grpo import _sample_perm
+        from rankfit.grpo import _draws, _sample_perms
 
         orderings = [
-            tuple(ids[i] for i in _sample_perm(scores, rng)) for _ in range(4000)
+            tuple(ids[i] for i in _sample_perms(scores[None], _draws(rng, 1, len(ids)))[0])
+            for _ in range(4000)
         ]
         sampled_value, _ = kl_sampled(policy, ref, window, orderings)
         exact_value, _ = kl_exact(policy, ref, window)
@@ -414,3 +417,154 @@ class TestTraining:
             disps[beta] = float(np.linalg.norm(result.policy.theta - result.ref.theta))
         assert disps[1000.0] < 0.01
         assert disps[1000.0] < disps[1.0] < disps[0.0]
+
+
+def dense_policy(rng, theta_scale=1.0, dim=3):
+    """A policy over random dense features, one fixed vector per candidate id."""
+    table = {}
+
+    def fn(window, cid):
+        if cid not in table:
+            table[cid] = rng.normal(0, 1.0, size=dim)
+        return table[cid]
+
+    return PLPolicy(rng.normal(0, theta_scale, size=dim), fn, [f"f{i}" for i in range(dim)])
+
+
+def oracle_inputs(policy, window):
+    return list(policy.scores(window)), policy.features(window).tolist()
+
+
+def naive_window_reward(window, ordering):
+    """Relative nDCG improvement over the presented order, from the oracle nDCG."""
+    k = len(ordering)
+    old = oracles.naive_ndcg([int(c == window.gold_id) for c in window.presented_ids()], k)
+    new = oracles.naive_ndcg([int(c == window.gold_id) for c in ordering], k)
+    return 0.0 if old == 1.0 else (new - old) / (1.0 - old)
+
+
+def reference_train(windows, feature_fn, dim, cfg):
+    """The training loop rebuilt from the loop oracles: on-policy ratios and exact KL.
+
+    Returns (step, mean_reward, kl, grad_norm, eval_ndcg4) per step, starting
+    from theta = 0 with the reference frozen there.
+    """
+    feats = {w.window_id: [[float(x) for x in feature_fn(w, c)] for c in w.presented_ids()] for w in windows}
+
+    def scores(theta, window):
+        return [sum(t * f for t, f in zip(theta, row)) for row in feats[window.window_id]]
+
+    def greedy(theta):
+        total = 0.0
+        for w in windows:
+            s = scores(theta, w)
+            order = sorted(range(len(s)), key=lambda i: -s[i])
+            total += oracles.naive_ndcg([int(w.presented_ids()[i] == w.gold_id) for i in order], len(s))
+        return total / len(windows)
+
+    theta = [0.0] * dim
+    ref_theta = list(theta)
+    curve = []
+    for epoch in range(cfg.epochs):
+        order = list(range(len(windows)))
+        child_rng(cfg.rng_seed, f"shuffle:{epoch}").shuffle(order)
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = [windows[i] for i in order[lo : lo + cfg.batch_size]]
+            grad_sum = [0.0] * dim
+            rewards, kls = [], []
+            for w in batch:
+                rng = child_rng(cfg.rng_seed, f"group:e{epoch}:{w.window_id}")
+                s = scores(theta, w)
+                perms = [oracles.pl_sample(s, rng) for _ in range(cfg.group_size)]
+                group_rewards = [naive_window_reward(w, [w.presented_ids()[i] for i in p]) for p in perms]
+                mean = sum(group_rewards) / len(group_rewards)
+                std = math.sqrt(sum((r - mean) ** 2 for r in group_rewards) / len(group_rewards))
+                adv = [(r - mean) / std if std > 0 else 0.0 for r in group_rewards]
+                _, grad, kl = oracles.surrogate_by_loops(
+                    s, scores(ref_theta, w), feats[w.window_id], perms, adv, cfg.beta
+                )
+                grad_sum = [a + b for a, b in zip(grad_sum, grad)]
+                rewards.extend(group_rewards)
+                kls.append(kl)
+            grad_mean = [g / len(batch) for g in grad_sum]
+            theta = [t + cfg.learning_rate * g for t, g in zip(theta, grad_mean)]
+            norm = math.sqrt(sum(g * g for g in grad_mean))
+            curve.append((len(curve) + 1, float(np.mean(rewards)), float(np.mean(kls)), norm, greedy(theta)))
+    return curve
+
+
+def assert_close(actual, expected):
+    """Within 1e-12, relative to the reference's magnitude once it exceeds 1."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestLoopReference:
+    """The array kernels against the plain-loop Plackett-Luce reference in oracles.py."""
+
+    def test_log_prob_kl_and_surrogate_match_reference(self):
+        rng = np.random.default_rng(21)
+        for cfg in (GrpoConfig(beta=0.05), GrpoConfig(beta=0.0)):
+            for _ in range(15):
+                _, window, group = random_triple(rng)
+                policy, ref, sampler = (dense_policy(rng, theta_scale=1.5) for _ in range(3))
+                ref.feature_fn = sampler.feature_fn = policy.feature_fn
+                scores, feats = oracle_inputs(policy, window)
+                ref_scores, _ = oracle_inputs(ref, window)
+                ids = window.presented_ids()
+                perms = [[ids.index(c) for c in ordering] for ordering, _ in group.samples]
+                for (ordering, _), perm in zip(group.samples, perms):
+                    assert_close(pl_log_prob(policy, window, ordering), oracles.pl_log_prob(scores, feats, perm))
+
+                value, grad = kl_exact(policy, ref, window)
+                ref_value, ref_grad = oracles.kl_by_enumeration(scores, ref_scores, feats)
+                assert_close(value, ref_value)
+                assert_close(grad, ref_grad)
+
+                for denoms in (None, group_step_probs(sampler, window, group)):
+                    v, g, kl = surrogate_grad(policy, ref, window, group, cfg, denoms=denoms)
+                    rv, rg, rkl = oracles.surrogate_by_loops(
+                        scores, ref_scores, feats, perms, group.advantages, cfg.beta, denoms
+                    )
+                    assert_close(v, rv)
+                    assert_close(kl, rkl)
+                    assert_close(g, rg)
+
+    def test_sampling_matches_sequential_sampler(self):
+        rng = np.random.default_rng(22)
+        cfg = GrpoConfig(group_size=16)
+        windows = [make_window(window_id=f"s/{i}", gold_slot=(i % 4) + 1) for i in range(12)]
+        policy = dense_policy(rng, theta_scale=2.0)
+        for seed, window in enumerate(windows):
+            scores, _ = oracle_inputs(policy, window)
+            ids = window.presented_ids()
+            draws = random.Random(seed)
+            expected = [
+                tuple(ids[i] for i in oracles.pl_sample(scores, draws)) for _ in range(cfg.group_size)
+            ]
+            for mode in ("rearank", "rankr1"):
+                group = sample_group(policy, window, GrpoConfig(group_size=16, reward=mode), random.Random(seed))
+                assert [ordering for ordering, _ in group.samples] == expected
+                assert group.rewards == [window_reward(window, o, mode) for o in expected]
+
+        total, count = 0.0, 0
+        for window in windows:
+            scores, _ = oracle_inputs(policy, window)
+            ids = window.presented_ids()
+            draws = child_rng(cfg.rng_seed, f"eval:tag:{window.window_id}")
+            for _ in range(8):
+                total += window_reward(window, [ids[i] for i in oracles.pl_sample(scores, draws)])
+                count += 1
+        assert evaluate_mean_reward(policy, windows, cfg, "tag") == total / count
+
+    def test_train_matches_reference_loop(self):
+        docs, _, pools = generate(SyntheticConfig(n_jobs=12, n_background=120, seed=5))
+        windows = build_all_windows(pools, PipelineConfig(rng_seed=5))[0][:40]
+        assert len(windows) == 40
+        fn, names = match_features(docs)
+        cfg = GrpoConfig(group_size=8, learning_rate=4.0, batch_size=8, epochs=2, rng_seed=5)
+        curve = train(make_policy(fn, names), windows, cfg).curve
+        expected = reference_train(windows, fn, len(names), cfg)
+        assert [(c.step, c.mean_reward, c.eval_ndcg4) for c in curve] == [(e[0], e[1], e[4]) for e in expected]
+        for point, (_, _, kl, grad_norm, _) in zip(curve, expected):
+            assert abs(point.kl - kl) <= 1e-12
+            assert abs(point.grad_norm - grad_norm) <= 1e-12

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from rankfit.errors import ConfigError, MalformedAnswer
 from rankfit.ranker import (
+    ANNOTATION_SAMPLING,
+    ChatCompletionsClient,
     EndpointConfig,
     IdentityRanker,
     LlmRanker,
     NoisyOracleRanker,
     OracleRanker,
     RankRequest,
+    SamplingParams,
     build_prompt,
     format_answer,
     parse_answer,
@@ -312,11 +315,13 @@ class TestLlmRanker:
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     hits = 0
+    last_body = None
 
     def do_POST(self):
         type(self).hits += 1
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        type(self).last_body = body
         assert body["messages"][0]["role"] == "system"
         if type(self).behavior == "error":
             self.send_response(500)
@@ -345,6 +350,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestLlmRankerOverHttp:
@@ -354,6 +360,15 @@ class TestLlmRankerOverHttp:
         resp = ranker(make_request(k=4))
         assert resp.ordering == [2, 3, 1, 4]
         assert resp.latency_ms > 0
+
+    def test_top_k_sent_only_when_set(self, http_server):
+        _Handler.behavior = "ok"
+        client = ChatCompletionsClient(endpoint_cfg(base_url=http_server, timeout_s=5))
+        client.complete_once("system", "user", ANNOTATION_SAMPLING)
+        assert _Handler.last_body["top_k"] == 20
+        assert _Handler.last_body["top_p"] == 0.95
+        client.complete_once("system", "user", SamplingParams())
+        assert "top_k" not in _Handler.last_body
 
     def test_real_transport_500_degrades(self, http_server):
         _Handler.behavior = "error"
