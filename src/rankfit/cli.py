@@ -586,7 +586,8 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, see
         fh.write("\n")
     _write_meta(out, effective, seed)
     click.echo(
-        f"evaluated {len(per_job)} jobs (excluded {len(excluded)} with no positives): "
+        f"evaluated {len(per_job)} jobs (excluded {len(excluded)} with no positives; "
+        f"{len(by_job) - len(first_line)} loaded pools had no reranked row): "
         f"nDCG@{metric_k} {nb:.4f} -> {na:.4f}, Recall@{metric_k} {rb:.4f} -> {ra:.4f}"
     )
     return 0

@@ -239,9 +239,8 @@ def load_pools(
     ``resume_ids`` is given, every candidate must resolve against it
     (UnknownDocument otherwise). A pool with no candidates raises EmptyPool.
     """
-    by_pair = {(l.job_id, l.resume_id): l.y for l in labels}
     known = frozenset(resume_ids) if resume_ids is not None else None
-    pools: list[RankedPool] = []
+    pools: list[tuple[str, list[str]]] = []
     for lineno, rec in iter_jsonl(path):
         job_id = rec.get("job_id")
         candidates = rec.get("candidates")
@@ -259,19 +258,28 @@ def load_pools(
                     raise UnknownDocument(
                         f"pool for job {job_id!r} references unknown resume {cid!r}"
                     )
-        pool_labels = {}
-        for cid in candidates:
-            y = by_pair.get((job_id, cid))
-            if y == 1:
-                pool_labels[cid] = ACCEPTED
-            elif y == 0:
-                pool_labels[cid] = REJECTED
-            else:
-                pool_labels[cid] = UNLABELED
-        pools.append(
-            RankedPool(job_id=job_id, candidates=tuple(candidates), labels=pool_labels)
+        pools.append((job_id, candidates))
+    return join_labels(pools, labels)
+
+
+def join_labels(
+    pools: Iterable[tuple[str, Sequence[str]]], labels: Iterable[Label]
+) -> list[RankedPool]:
+    """RankedPools from (job_id, candidates) pairs, every candidate labeled.
+
+    A candidate with a y=1 label for its job is accepted, one with y=0 is
+    rejected, and any other is unlabeled.
+    """
+    by_pair = {(l.job_id, l.resume_id): l.y for l in labels}
+    status = {1: ACCEPTED, 0: REJECTED}
+    return [
+        RankedPool(
+            job_id=job_id,
+            candidates=tuple(candidates),
+            labels={cid: status.get(by_pair.get((job_id, cid)), UNLABELED) for cid in candidates},
         )
-    return pools
+        for job_id, candidates in pools
+    ]
 
 
 def write_pools(pools: Iterable[RankedPool], path: str | Path) -> None:

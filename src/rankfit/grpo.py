@@ -146,11 +146,6 @@ def pl_log_prob(policy: PLPolicy, window: Window, ordering: Sequence[str]) -> fl
     return float(logp.sum())
 
 
-def pl_log_prob_grad(policy: PLPolicy, window: Window, ordering: Sequence[str]) -> tuple[float, np.ndarray]:
-    logp, grads = _policy_steps(policy, window, _perm_indices(window, [ordering]))
-    return float(logp.sum()), grads[0].sum(axis=0)
-
-
 def _draws(rng: random.Random, n: int, k: int) -> np.ndarray:
     """The k-1 uniform draws each of n sampled orderings consumes, in sampling order."""
     return np.array([rng.random() for _ in range(n * (k - 1))]).reshape(n, k - 1)

@@ -297,8 +297,9 @@ def _requests_post(url, json=None, headers=None, timeout=None):
 class ChatCompletionsClient:
     """Single-attempt POST /v1/chat/completions caller with a concurrency cap.
 
-    Authentication problems raise ConfigError (fatal); any other failure
-    raises TransportFailure so callers can drive their own retry loops.
+    Authentication problems and rejected requests (HTTP 400, 404, 422) raise
+    ConfigError (fatal); any other failure, 408, 429 and 5xx included, raises
+    TransportFailure so callers can drive their own retry loops.
     """
 
     def __init__(self, cfg: EndpointConfig, post=None):
@@ -337,6 +338,12 @@ class ChatCompletionsClient:
             raise TransportFailure(str(exc)) from exc
         if resp.status_code in (401, 403):
             raise ConfigError(f"endpoint authentication failed (HTTP {resp.status_code})")
+        # a retry repeats these (bad payload, unknown model or route)
+        if resp.status_code in (400, 404, 422):
+            raise ConfigError(
+                f"endpoint rejected the request (HTTP {resp.status_code}); "
+                f"check the model name {self.cfg.model!r} and base_url"
+            )
         if resp.status_code >= 400:
             raise TransportFailure(f"HTTP {resp.status_code}")
         try:
@@ -355,7 +362,7 @@ class LlmRanker:
     Transport errors and malformed answers are retried up to ``max_retries``
     attempts; a request that still fails returns the identity ordering flagged
     degraded (re-ranking must never lose candidates). Only authentication
-    problems are fatal.
+    problems and rejected requests are fatal.
     """
 
     def __init__(self, cfg: EndpointConfig, post=None):

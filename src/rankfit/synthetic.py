@@ -16,11 +16,13 @@ pools.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, ACCEPTED, REJECTED, UNLABELED
+import numpy as np
+
+from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, ACCEPTED, UNLABELED, join_labels
 from .errors import ConfigError
 from .seeding import child_rng
 
@@ -123,17 +125,56 @@ def _tailored_skills(rng: random.Random, required: list[str], coverage: int) -> 
     return skills
 
 
+def _gauss_many(rng: random.Random, n: int, sigma: float) -> np.ndarray:
+    """``[rng.gauss(0.0, sigma) for _ in range(n)]`` as an array.
+
+    Leaves ``rng`` where that loop leaves it, its pending ``gauss_next``
+    included. random.gauss makes values in Box-Muller pairs from two
+    ``rng.random()`` draws and keeps the second value for its next call; this
+    makes the same draws in the same order, calls the same ``math`` functions
+    on them and does only correctly rounded arithmetic (``-``, ``*``, ``sqrt``)
+    in numpy, so every value is bit-identical. numpy's own log/cos/sin may
+    differ by an ulp, depending on the CPU, so they are not used.
+    """
+    z = np.empty(n)
+    if n == 0:
+        return z
+    head = 0
+    if rng.gauss_next is not None:
+        z[0] = rng.gauss_next
+        rng.gauss_next = None
+        head = 1
+    pairs = (n - head + 1) // 2
+    # fromiter stops after the count, so exactly 2 * pairs draws are made
+    u = np.fromiter(iter(rng.random, -1.0), float, 2 * pairs)
+    x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
+    g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs))
+    both = np.empty(2 * pairs)
+    both[0::2] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+    both[1::2] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+    z[head:] = both[: n - head]
+    if (n - head) % 2:
+        rng.gauss_next = float(both[-1])
+    return 0.0 + z * sigma
+
+
 def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], list[RankedPool]]:
     """Generate (documents, labels, pools), deterministic in cfg.seed.
 
-    Pools are ranked by match score plus Gaussian retrieval noise, truncated
-    to pool_size (shorter for short-pool archetype jobs). Labels cover only
-    the tailored accepted/rejected resumes; everything else is unlabeled,
-    mirroring sparse real-world interaction data.
+    Each job's pool ranks every resume generated so far by match score plus
+    Gaussian retrieval noise (one draw per resume, in generation order), best
+    first with ties broken by resume id, truncated to pool_size (shorter for
+    short-pool archetype jobs). Labels cover only the tailored
+    accepted/rejected resumes; everything else is unlabeled, mirroring sparse
+    real-world interaction data.
     """
     rng = child_rng(cfg.seed, "synthetic")
     documents: dict[str, Document] = {}
-    resume_skills: dict[str, frozenset[str]] = {}
+    skill_col = {skill: i for i, skill in enumerate(SKILLS)}
+    resume_ids: list[str] = []
+    # one row per resume in resume_ids, one column per SKILLS entry
+    has_skill = np.zeros((0, len(SKILLS)), dtype=bool)
+    new_rows: list[list[int]] = []
 
     def add_resume(rid: str, skills: list[str]) -> None:
         doc = _resume_doc(
@@ -144,7 +185,8 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
             degree=rng.choice(DEGREES),
         )
         documents[rid] = doc
-        resume_skills[rid] = frozenset(skills)
+        resume_ids.append(rid)
+        new_rows.append([skill_col[s] for s in skills])
 
     for i in range(cfg.n_background):
         add_resume(f"r{i:05d}", rng.sample(SKILLS, rng.randint(4, 8)))
@@ -161,7 +203,7 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
     rng.shuffle(archetypes)
 
     labels: list[Label] = []
-    pools: list[RankedPool] = []
+    pools: list[tuple[str, tuple[str, ...]]] = []
     extra_counter = cfg.n_background
 
     for j, archetype in enumerate(archetypes):
@@ -201,33 +243,27 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
             rid = new_resume(coverage=rng.randint(2, 3))
             labels.append(Label(job_id=jid, resume_id=rid, y=0))
 
-        required_set = frozenset(required)
-        scored = []
-        for rid, skills in resume_skills.items():
-            score = len(required_set & skills) / len(required_set)
-            scored.append((score + rng.gauss(0.0, cfg.retrieval_noise), rid))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        rows = np.zeros((len(new_rows), len(SKILLS)), dtype=bool)
+        for r, cols in enumerate(new_rows):
+            rows[r, cols] = True
+        has_skill = np.concatenate([has_skill, rows])
+        new_rows.clear()
+
+        # int64 / int is correctly rounded, as Python's int / int is
+        covered = has_skill[:, [skill_col[s] for s in required]].sum(axis=1)
+        scores = covered / len(required) + _gauss_many(rng, len(resume_ids), cfg.retrieval_noise)
 
         size = cfg.pool_size
         if archetype == "short_pool":
             size = rng.randint(cfg.pool_size // 2, cfg.pool_size - 1)
-        candidates = tuple(rid for _, rid in scored[:size])
-        pools.append(RankedPool(job_id=jid, candidates=candidates, labels={}))
+        # every resume scoring at least the size-th best score, sorted by
+        # (-score, resume id) as a sort over all of them would
+        cut = np.partition(scores, len(scores) - size)[len(scores) - size]
+        top = np.flatnonzero(scores >= cut)
+        ranked = sorted(zip((-scores[top]).tolist(), [resume_ids[i] for i in top]))
+        pools.append((jid, tuple(rid for _, rid in ranked[:size])))
 
-    pools = _join_labels(pools, labels)
-    return documents, labels, pools
-
-
-def _join_labels(pools: Iterable[RankedPool], labels: list[Label]) -> list[RankedPool]:
-    by_pair = {(l.job_id, l.resume_id): l.y for l in labels}
-    joined = []
-    for pool in pools:
-        pool_labels = {}
-        for cid in pool.candidates:
-            y = by_pair.get((pool.job_id, cid))
-            pool_labels[cid] = ACCEPTED if y == 1 else REJECTED if y == 0 else UNLABELED
-        joined.append(RankedPool(job_id=pool.job_id, candidates=pool.candidates, labels=pool_labels))
-    return joined
+    return documents, labels, join_labels(pools, labels)
 
 
 def make_eval_pools(

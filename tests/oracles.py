@@ -5,8 +5,10 @@ re-derivations (brute force, enumeration, finite differences, set arithmetic)
 so that tests compare two separately written routes to the same answer.
 """
 
+import hashlib
 import itertools
 import math
+import random
 
 
 def naive_dcg(rels, k):
@@ -183,3 +185,112 @@ def pl_sample(scores, rng):
         perm.append(remaining.pop(pick))
     perm.append(remaining[0])
     return perm
+
+
+def synthetic_by_loops(
+    vocab,
+    n_jobs,
+    n_background,
+    pool_size=20,
+    seed=0,
+    frac_no_positive=0.10,
+    frac_many_positives=0.06,
+    frac_short_pool=0.06,
+    retrieval_noise=0.08,
+):
+    """The synthetic generator with one noisy score per (job, resume) pair.
+
+    ``vocab`` is (skills, titles, degrees, locations). Every job's pool sorts
+    all resumes made so far by (-(coverage + gauss noise), resume id) and keeps
+    the first pool_size (fewer for short-pool jobs). Returns (documents as
+    {id: fields}, labels as [(job_id, resume_id, y)], pools as
+    [(job_id, candidates)]).
+    """
+    skills_vocab, titles, degrees, locations = vocab
+    digest = hashlib.sha256(f"{seed}|synthetic".encode("utf-8")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    docs = {}
+    resume_skills = {}
+
+    def add_resume(rid, skills):
+        years = rng.randint(2, 15)
+        title = rng.choice(titles)
+        degree = rng.choice(degrees)
+        docs[rid] = (
+            ("current title", title),
+            ("highest degree", degree),
+            ("years of experience", str(years)),
+            ("skills", ", ".join(skills)),
+            (
+                "most recent experience",
+                f"Worked {years} years as {title}, shipping systems built on "
+                f"{', '.join(skills[:3])}.",
+            ),
+        )
+        resume_skills[rid] = set(skills)
+
+    for i in range(n_background):
+        add_resume(f"r{i:05d}", rng.sample(skills_vocab, rng.randint(4, 8)))
+    n_no_pos = round(frac_no_positive * n_jobs)
+    n_many = round(frac_many_positives * n_jobs)
+    n_short = round(frac_short_pool * n_jobs)
+    archetypes = (
+        ["no_positive"] * n_no_pos
+        + ["many_positives"] * n_many
+        + ["short_pool"] * n_short
+        + ["normal"] * (n_jobs - n_no_pos - n_many - n_short)
+    )
+    rng.shuffle(archetypes)
+
+    labels, pools = [], []
+    next_rid = n_background
+    for j, archetype in enumerate(archetypes):
+        jid = f"j{j:04d}"
+        required = rng.sample(skills_vocab, 5)
+        title = rng.choice(titles)
+        degree = rng.choice(degrees)
+        years = rng.randint(2, 10)
+        location = rng.choice(locations)
+        docs[jid] = (
+            ("title", title),
+            ("job type", "Full-Time"),
+            ("location", location),
+            ("minimum degree", degree),
+            ("required skills", ", ".join(required)),
+            ("required experience", f"more than {years} years"),
+            (
+                "summaryText",
+                f"We are hiring a {title} to own services built with "
+                f"{', '.join(required[:3])} and collaborate across teams.",
+            ),
+        )
+        if archetype == "no_positive":
+            n_accept, n_reject = 0, rng.randint(1, 2)
+        elif archetype == "many_positives":
+            n_accept, n_reject = rng.randint(11, 13), rng.randint(0, 2)
+        else:
+            n_accept, n_reject = rng.randint(1, 3), rng.randint(1, 3)
+        for y, n, coverage in ((1, n_accept, (4, 5)), (0, n_reject, (2, 3))):
+            for _ in range(n):
+                skills = rng.sample(required, rng.randint(*coverage))
+                extras = [s for s in skills_vocab if s not in required]
+                skills += rng.sample(extras, rng.randint(1, 3))
+                rng.shuffle(skills)
+                rid = f"r{next_rid:05d}"
+                next_rid += 1
+                add_resume(rid, skills)
+                labels.append((jid, rid, y))
+
+        scored = []
+        for rid, skills in resume_skills.items():
+            covered = 0
+            for skill in required:
+                if skill in skills:
+                    covered += 1
+            scored.append((covered / len(required) + rng.gauss(0.0, retrieval_noise), rid))
+        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        size = pool_size
+        if archetype == "short_pool":
+            size = rng.randint(pool_size // 2, pool_size - 1)
+        pools.append((jid, tuple(rid for _, rid in scored[:size])))
+    return docs, labels, pools

@@ -339,6 +339,38 @@ class TestRerankEvaluateAblate:
         assert repr(job_id) in result.output
         assert not (tmp_path / "report.json").exists()
 
+    def test_evaluate_counts_pools_without_reranked_row(self, dataset, runner, tmp_path):
+        reranked = tmp_path / "reranked.jsonl"
+        result = invoke(
+            runner,
+            [
+                "rerank",
+                "--pools", str(dataset / "pools.jsonl"),
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--labels", str(dataset / "labels.jsonl"),
+                "--out", str(reranked),
+                "--ranker", "identity",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        pools = [json.loads(line) for line in (dataset / "pools.jsonl").read_text().splitlines()]
+        short = sum(len(p["candidates"]) != 20 for p in pools)
+        assert short > 0  # rerank skips these, so evaluate has no row for them
+        lines = reranked.read_text().splitlines()
+        reranked.write_text("\n".join(lines[1:]) + "\n")
+        result = invoke(
+            runner,
+            [
+                "evaluate",
+                "--pools", str(dataset / "pools.jsonl"),
+                "--labels", str(dataset / "labels.jsonl"),
+                "--reranked", str(reranked),
+                "--out", str(tmp_path / "report.json"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert f"{short + 1} loaded pools had no reranked row" in result.output
+
     def test_trace_flag_writes_trace(self, dataset, runner, tmp_path):
         reranked = tmp_path / "reranked.jsonl"
         result = invoke(

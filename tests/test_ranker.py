@@ -5,9 +5,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import requests
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfit.cli import main
 from rankfit.errors import ConfigError, MalformedAnswer
 from rankfit.ranker import (
     ANNOTATION_SAMPLING,
@@ -287,6 +289,33 @@ class TestLlmRanker:
         with pytest.raises(ConfigError):
             LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
 
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_rejected_request_is_fatal_without_retry(self, status):
+        calls = {"n": 0}
+
+        def post(url, json=None, headers=None, timeout=None):
+            calls["n"] += 1
+            return FakeResponse(status_code=status)
+
+        with pytest.raises(ConfigError, match=f"HTTP {status}"):
+            LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
+        assert calls["n"] == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 502])
+    def test_transient_status_is_retried(self, status):
+        calls = {"n": 0}
+
+        def post(url, json=None, headers=None, timeout=None):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return FakeResponse(status_code=status)
+            return FakeResponse(content="<answer> [1] > [2] > [3] > [4] </answer>")
+
+        resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
+        assert calls["n"] == 2
+        assert resp.retry_count == 1
+        assert resp.degraded is False
+
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("RANKFIT_TEST_KEY", raising=False)
         with pytest.raises(ConfigError):
@@ -312,6 +341,9 @@ class TestLlmRanker:
         assert sorted(resp.ordering) == [1, 2, 3, 4]
 
 
+_ERROR_STATUS = {"error": 500, "not_found": 404}
+
+
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     hits = 0
@@ -323,8 +355,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         type(self).last_body = body
         assert body["messages"][0]["role"] == "system"
-        if type(self).behavior == "error":
-            self.send_response(500)
+        if type(self).behavior in _ERROR_STATUS:
+            self.send_response(_ERROR_STATUS[type(self).behavior])
             self.end_headers()
             return
         reply = {
@@ -377,3 +409,33 @@ class TestLlmRankerOverHttp:
         _Handler.behavior = "ok"
         assert resp.degraded is True
         assert resp.ordering == [1, 2, 3, 4]
+
+    def test_cli_rerank_with_unknown_model_exits_2(self, http_server, tmp_path):
+        runner = CliRunner()
+        data = tmp_path / "data"
+        result = runner.invoke(
+            main,
+            ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "2", "--n-background", "30"],
+        )
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"ranker": {"endpoint": {
+            "base_url": http_server, "model": "no-such-model", "timeout_s": 5, "retry_backoff_s": 0.0,
+        }}}))
+        _Handler.behavior = "not_found"
+        result = runner.invoke(
+            main,
+            [
+                "rerank",
+                "--pools", str(data / "pools.jsonl"),
+                "--corpus", str(data / "corpus.jsonl"),
+                "--labels", str(data / "labels.jsonl"),
+                "--out", str(tmp_path / "reranked.jsonl"),
+                "--ranker", "endpoint",
+                "--config", str(config),
+            ],
+        )
+        _Handler.behavior = "ok"
+        assert result.exit_code == 2, result.output
+        assert "HTTP 404" in result.output
+        assert "'no-such-model'" in result.output

@@ -1,16 +1,25 @@
+import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
-from rankfit.core import KIND_JOB, KIND_RESUME
+from rankfit.core import ACCEPTED, KIND_JOB, KIND_RESUME, REJECTED, UNLABELED
 from rankfit.errors import ConfigError
 from rankfit.synthetic import (
+    DEGREES,
+    LOCATIONS,
+    SKILLS,
+    TITLES,
     SyntheticConfig,
+    _gauss_many,
     generate,
     make_eval_pools,
     match_score,
     skill_set,
 )
+
+from oracles import synthetic_by_loops
 
 
 class TestGenerate:
@@ -64,6 +73,46 @@ class TestGenerate:
             SyntheticConfig(n_jobs=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(n_background=5)
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_jobs=50, n_background=400, seed=8),
+            dict(n_jobs=50, n_background=400, seed=2026),
+            dict(n_jobs=500, n_background=4000, seed=3),
+            # every score ties with many others, so the resume-id tie-break decides
+            dict(n_jobs=50, n_background=400, seed=8, retrieval_noise=0.0),
+            # 6-digit ids sort before most 5-digit ones ("r100000" < "r10001"); at
+            # this seed they share tied scores with such 5-digit ids in the pool
+            dict(n_jobs=1, n_background=100_050, seed=11, retrieval_noise=0.0),
+        ],
+    )
+    def test_generate_matches_pairwise_loop(self, overrides):
+        cfg = SyntheticConfig(**overrides)
+        docs, labels, pools = generate(cfg)
+        ref_docs, ref_labels, ref_pools = synthetic_by_loops(
+            (SKILLS, TITLES, DEGREES, LOCATIONS), **asdict(cfg)
+        )
+        assert {d.id: d.fields for d in docs.values()} == ref_docs
+        assert [(l.job_id, l.resume_id, l.y) for l in labels] == ref_labels
+        assert [(p.job_id, p.candidates) for p in pools] == ref_pools
+        status = {(job, rid): ACCEPTED if y else REJECTED for job, rid, y in ref_labels}
+        for pool in pools:
+            assert pool.labels == {c: status.get((pool.job_id, c), UNLABELED) for c in pool.candidates}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_gauss_many_matches_random_gauss(self, n, pending):
+        for seed in range(20):
+            ours, ref = random.Random(seed), random.Random(seed)
+            if pending:
+                assert ours.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+            values = _gauss_many(ours, n, 0.08)
+            assert values.tolist() == [ref.gauss(0.0, 0.08) for _ in range(n)]
+            assert ours.getstate() == ref.getstate()
+            assert ours.random() == ref.random()
 
 
 class TestSkillHelpers:
