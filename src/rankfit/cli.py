@@ -12,6 +12,8 @@ import functools
 import hashlib
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -29,7 +31,7 @@ from .core import (
     write_labels,
     write_pools,
 )
-from .engine import EngineConfig, rerank_pool
+from .engine import EngineConfig, ablate, rerank_pools, score_run
 from .errors import ConfigError, MalformedRecord, RankfitError
 from .grpo import (
     GrpoConfig,
@@ -41,7 +43,6 @@ from .grpo import (
     train,
     write_curve,
 )
-from .metrics import ndcg, recall_at_k
 from .ranker import (
     ChatCompletionsClient,
     EndpointConfig,
@@ -53,6 +54,7 @@ from .ranker import (
 from .seeding import child_rng
 from .synthetic import SyntheticConfig, generate
 from .windows import (
+    STRATEGIES,
     PipelineConfig,
     Window,
     annotate_difficulty,
@@ -67,12 +69,19 @@ DEFAULT_ABLATION_GRID = "2:1,3:1,3:2,4:1,4:2,4:3"
 
 
 def _command(fn):
-    """Map toolkit errors to exit code 2 and degraded runs to exit code 1."""
+    """Add --seed and --config; map toolkit errors to exit 2 and degraded runs to exit 1.
 
+    The command receives the loaded ``config`` dict and the ``seed``
+    resolved as flag > config ``seed`` > 0.
+    """
+
+    @click.option("--seed", type=int, default=None)
+    @click.option("--config", "config_path", type=click.Path(), default=None)
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args, seed, config_path, **kwargs):
         try:
-            code = fn(*args, **kwargs)
+            config = _load_config(config_path)
+            code = fn(*args, config=config, seed=_resolve(seed, config, "seed", default=0), **kwargs)
         except RankfitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -84,12 +93,10 @@ def _command(fn):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        with open(p, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -109,60 +116,92 @@ def _resolve(flag_value, config: dict, *keys, default=None):
     return node
 
 
-def _require_path(path: str | None, what: str) -> Path:
+def _input(flag: str | None, name: str, config: dict | None = None) -> Path:
+    """The input file ``name``: the flag, else config ``paths.<name>``, else an error.
+
+    Without ``config`` only the flag counts. The file must exist.
+    """
+    path = _resolve(flag, config or {}, "paths", name)
     if not path:
-        raise ConfigError(f"missing required path for {what}")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} path {path} does not exist")
-    return p
+        raise ConfigError(f"missing required path for {name}")
+    if not Path(path).exists():
+        raise ConfigError(f"{name} path {path} does not exist")
+    return Path(path)
 
 
-def _config_hash(effective: dict) -> str:
-    canonical = json.dumps(effective, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+def _section(config: dict, name: str, cls) -> dict:
+    """A copy of config section ``name``; its keys must be fields of dataclass ``cls``."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = set(section) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    return dict(section)
 
 
-def _write_meta(artifact: Path, effective: dict, seed: int) -> None:
-    meta = {
-        "config_hash": _config_hash(effective),
-        "seed": seed,
-        "version": __version__,
-        "config": effective,
-    }
-    with open(f"{artifact}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
+def _out(path: str) -> Path:
+    """An output path whose parent directory exists."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_json(path: Path, obj: dict, indent: int | None = 2) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
 
+def _provenance(effective: dict, seed: int) -> dict:
+    canonical = json.dumps(effective, sort_keys=True)
+    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return {"config_hash": config_hash, "seed": seed, "version": __version__}
+
+
+def _write_meta(artifact: Path, effective: dict, seed: int) -> None:
+    meta = {**_provenance(effective, seed), "config": effective}
+    _write_json(Path(f"{artifact}.meta.json"), meta, indent=None)
+
+
 def _endpoint_from_config(config: dict) -> EndpointConfig:
-    endpoint = config.get("ranker", {}).get("endpoint")
+    endpoint = _resolve(None, config, "ranker", "endpoint")
     if not isinstance(endpoint, dict) or "base_url" not in endpoint or "model" not in endpoint:
         raise ConfigError(
             "ranker 'endpoint' requires a config file with ranker.endpoint.base_url and .model"
         )
-    allowed = {f for f in EndpointConfig.__dataclass_fields__}
-    unknown = set(endpoint) - allowed
-    if unknown:
-        raise ConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
-    return EndpointConfig(**endpoint)
+    return EndpointConfig(**_section(config["ranker"], "endpoint", EndpointConfig))
 
 
-def _make_ranker(name: str, accepted, p_flip: float, seed: int, config: dict):
+def _make_ranker(name: str | None, p_flip: float | None, default: str, seed: int, config: dict, labels):
+    """The ranker a command asked for, and its ``{"name", "p_flip"}`` settings.
+
+    Both resolve as flag > config ``ranker.builtin``/``ranker.p_flip`` >
+    default. Only the oracle rankers call ``labels()`` for the label list.
+    """
+    name = _resolve(name, config, "ranker", "builtin", default=default)
+    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
+    settings = {"name": name, "p_flip": p_flip}
     if name == "oracle":
-        return OracleRanker(accepted)
+        return OracleRanker(accepted_by_job(labels())), settings
     if name == "identity":
-        return IdentityRanker()
+        return IdentityRanker(), settings
     if name == "noisy":
-        return NoisyOracleRanker(accepted, p_flip=p_flip, seed=seed)
+        return NoisyOracleRanker(accepted_by_job(labels()), p_flip=p_flip, seed=seed), settings
     if name == "endpoint":
-        return LlmRanker(_endpoint_from_config(config))
+        return LlmRanker(_endpoint_from_config(config)), settings
     raise ConfigError(f"unknown ranker {name!r}; expected one of {BUILTIN_RANKERS}")
 
 
-def _load_windows(path: Path) -> list[Window]:
+def _pools(flag: str | None, config: dict, labels, corpus=None):
+    """Pools with labels joined; with a corpus, every candidate must be one of its resumes."""
+    resumes = None if corpus is None else {i for i, d in corpus.items() if d.kind == KIND_RESUME}
+    return load_pools(_input(flag, "pools", config), labels, resume_ids=resumes)
+
+
+def _windows(flag: str | None) -> list[Window]:
     windows = []
-    for lineno, rec in iter_jsonl(path):
+    for lineno, rec in iter_jsonl(_input(flag, "windows")):
         try:
             windows.append(Window.from_record(rec))
         except (KeyError, ConfigError) as exc:
@@ -170,15 +209,24 @@ def _load_windows(path: Path) -> list[Window]:
     return windows
 
 
+def _path_options(*names: str):
+    """A ``--<name>`` file option per name, passed as ``<name>_path``.
+
+    --out, --windows and --reranked are required; corpus, labels and pools
+    may come from config ``paths`` instead (see ``_input``).
+    """
+
+    def decorate(fn):
+        for name in reversed(names):
+            required = name in ("out", "windows", "reranked")
+            fn = click.option(f"--{name}", f"{name}_path", type=click.Path(), required=required)(fn)
+        return fn
+
+    return decorate
+
+
 def _pipeline_config(config: dict, seed: int) -> PipelineConfig:
-    section = config.get("pipeline", {})
-    allowed = {f for f in PipelineConfig.__dataclass_fields__}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-    section = dict(section)
-    section["rng_seed"] = seed
-    return PipelineConfig(**section)
+    return PipelineConfig(**{**_section(config, "pipeline", PipelineConfig), "rng_seed": seed})
 
 
 @click.group()
@@ -188,7 +236,7 @@ def main():
 
 
 # ---------------------------------------------------------------------------
-# gen-synthetic
+# gen-synthetic / build-windows / annotate / filter
 # ---------------------------------------------------------------------------
 
 
@@ -196,97 +244,50 @@ def main():
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--n-jobs", type=int, default=None, help="Number of job posts.")
 @click.option("--n-background", type=int, default=None, help="Background resume count.")
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_gen_synthetic(out_dir, n_jobs, n_background, seed, config_path):
+def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     """Generate a synthetic corpus, labels, and retrieval pools."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    section = dict(config.get("synthetic", {}))
-    unknown = set(section) - set(SyntheticConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
-    if n_jobs is not None:
-        section["n_jobs"] = n_jobs
-    if n_background is not None:
-        section["n_background"] = n_background
-    section["seed"] = seed
-    cfg = SyntheticConfig(**section)
+    flags = {"n_jobs": n_jobs, "n_background": n_background, "seed": seed}
+    section = _section(config, "synthetic", SyntheticConfig)
+    cfg = SyntheticConfig(**{**section, **{k: v for k, v in flags.items() if v is not None}})
     documents, labels, pools = generate(cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    effective = {
-        "synthetic": {k: getattr(cfg, k) for k in SyntheticConfig.__dataclass_fields__}
-    }
     write_corpus(documents.values(), out / "corpus.jsonl")
     write_labels(labels, out / "labels.jsonl")
     write_pools(pools, out / "pools.jsonl")
     for name in ("corpus.jsonl", "labels.jsonl", "pools.jsonl"):
-        _write_meta(out / name, effective, seed)
+        _write_meta(out / name, {"synthetic": asdict(cfg)}, seed)
     click.echo(
         f"wrote {len(documents)} documents, {len(labels)} labels, {len(pools)} pools to {out}"
     )
     return 0
 
 
-# ---------------------------------------------------------------------------
-# build-windows
-# ---------------------------------------------------------------------------
-
-
 @main.command("build-windows")
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--pools", "pools_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_path_options("corpus", "labels", "pools", "out")
 @_command
-def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, seed, config_path):
+def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, seed):
     """Build 4-candidate training windows from labeled pools."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    corpus_path = _require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus")
-    labels_path = _require_path(_resolve(labels_path, config, "paths", "labels"), "labels")
-    pools_path = _require_path(_resolve(pools_path, config, "paths", "pools"), "pools")
-
-    corpus = load_corpus(corpus_path)
-    resumes = {i for i, d in corpus.items() if d.kind == KIND_RESUME}
-    labels = load_labels(labels_path)
-    pools = load_pools(pools_path, labels, resume_ids=resumes)
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    pools = _pools(pools_path, config, load_labels(_input(labels_path, "labels", config)), corpus)
     cfg = _pipeline_config(config, seed)
 
     windows, skips = build_all_windows(pools, cfg)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(out_path)
     write_jsonl((w.to_record() for w in windows), out)
 
-    skip_counts: dict[str, int] = {}
-    for skip in skips:
-        skip_counts[skip.reason] = skip_counts.get(skip.reason, 0) + 1
-    windows_per_job: dict[str, int] = {}
-    for w in windows:
-        windows_per_job[w.job_id] = windows_per_job.get(w.job_id, 0) + 1
-    effective = {"pipeline": {k: getattr(cfg, k) for k in PipelineConfig.__dataclass_fields__}}
+    effective = {"pipeline": asdict(cfg)}
     skip_report = {
         "jobs_total": len(pools),
         "jobs_kept": len(pools) - len(skips),
-        "skips": dict(sorted(skip_counts.items())),
+        "skips": dict(sorted(Counter(skip.reason for skip in skips).items())),
         "windows_emitted": len(windows),
-        "windows_per_job": dict(sorted(windows_per_job.items())),
-        "provenance": {
-            "config_hash": _config_hash(effective),
-            "seed": seed,
-            "version": __version__,
-        },
+        "windows_per_job": dict(sorted(Counter(w.job_id for w in windows).items())),
+        "provenance": _provenance(effective, seed),
     }
-    skips_path = out.parent / "skips.json"
-    with open(skips_path, "w", encoding="utf-8") as fh:
-        json.dump(skip_report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
+    _write_json(out.parent / "skips.json", skip_report)
     _write_meta(out, effective, seed)
     click.echo(
         f"jobs kept {skip_report['jobs_kept']}/{skip_report['jobs_total']} "
@@ -295,47 +296,25 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, seed, conf
     return 0
 
 
-# ---------------------------------------------------------------------------
-# annotate
-# ---------------------------------------------------------------------------
-
-
 @main.command("annotate")
-@click.option("--windows", "windows_path", required=True, type=click.Path())
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_path_options("windows", "corpus", "labels", "out")
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
 @click.option("--p-flip", type=float, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=1, help="Parallel annotation workers.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, seed, jobs, config_path):
+def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    ranker_name = _resolve(ranker_name, config, "ranker", "builtin", default="noisy")
-    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
-    windows = _load_windows(_require_path(windows_path, "windows"))
-    corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
-
-    accepted = {}
-    if ranker_name in ("oracle", "noisy"):
-        labels_path = _require_path(_resolve(labels_path, config, "paths", "labels"), "labels")
-        accepted = accepted_by_job(load_labels(labels_path))
-    ranker = _make_ranker(ranker_name, accepted, p_flip, seed, config)
+    windows = _windows(windows_path)
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    ranker, ranker_cfg = _make_ranker(
+        ranker_name, p_flip, "noisy", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
+    )
     cfg = _pipeline_config(config, seed)
 
     annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=jobs)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(out_path)
     write_jsonl((w.to_record() for w in annotated), out)
-    effective = {
-        "ranker": {"name": ranker_name, "p_flip": p_flip},
-        "annotate_trials": cfg.annotate_trials,
-    }
-    _write_meta(out, effective, seed)
+    _write_meta(out, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
     click.echo(
         f"annotated {len(annotated)} windows over {stats.trials} trials; "
         f"{len(stats.failed_windows)} windows had no successful trial"
@@ -343,41 +322,24 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
     return 1 if stats.failed_windows else 0
 
 
-# ---------------------------------------------------------------------------
-# filter
-# ---------------------------------------------------------------------------
-
-
 @main.command("filter")
-@click.option("--windows", "windows_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option(
-    "--strategy",
-    type=click.Choice(("all", "remove_hard", "subsample_hard", "hint_augment", "llm_filter")),
-    required=True,
-)
+@_path_options("windows", "out")
+@click.option("--strategy", type=click.Choice(STRATEGIES), required=True)
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None, help="Needed for llm_filter.")
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_filter(windows_path, out_path, strategy, corpus_path, seed, config_path):
+def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     """Apply a data-filtering strategy to annotated windows."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    windows = _load_windows(_require_path(windows_path, "windows"))
+    windows = _windows(windows_path)
     cfg = _pipeline_config(config, seed)
 
     judge = None
     if strategy == "llm_filter":
-        corpus = load_corpus(
-            _require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus")
-        )
+        corpus = load_corpus(_input(corpus_path, "corpus", config))
         judge = make_llm_judge(ChatCompletionsClient(_endpoint_from_config(config)), corpus)
 
     rng = child_rng(seed, f"filter:{strategy}")
     kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(out_path)
     write_jsonl((w.to_record() for w in kept), out)
     _write_meta(out, {"strategy": strategy, "hard_threshold": cfg.hard_threshold}, seed)
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}")
@@ -399,116 +361,58 @@ def _engine_config(config: dict, k, s, t, n) -> EngineConfig:
 
 
 @main.command("rerank")
-@click.option("--pools", "pools_path", type=click.Path(), default=None)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_path_options("pools", "corpus", "labels", "out")
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
 @click.option("--p-flip", type=float, default=None)
 @click.option("-k", "--window-size", "k", type=int, default=None)
 @click.option("-s", "--stride", "s", type=int, default=None)
 @click.option("-t", "--iterations", "t", type=int, default=None)
 @click.option("-N", "--pool-size", "n", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=1, help="Parallel jobs across pools.")
 @click.option("--trace", is_flag=True, default=False, help="Write a per-call trace file.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, seed, jobs, trace, config_path):
+def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, jobs, trace, config, seed):
     """Re-rank every pool with the sliding-window engine."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    ranker_name = _resolve(ranker_name, config, "ranker", "builtin", default="oracle")
-    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
-    corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
-    labels = load_labels(_require_path(_resolve(labels_path, config, "paths", "labels"), "labels"))
-    pools = load_pools(
-        _require_path(_resolve(pools_path, config, "paths", "pools"), "pools"),
-        labels,
-        resume_ids={i for i, d in corpus.items() if d.kind == KIND_RESUME},
-    )
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    labels = load_labels(_input(labels_path, "labels", config))
+    pools = _pools(pools_path, config, labels, corpus)
     cfg = _engine_config(config, k, s, t, n)
-    ranker = _make_ranker(ranker_name, accepted_by_job(labels), p_flip, seed, config)
+    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, "oracle", seed, config, lambda: labels)
 
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
-    skipped = len(pools) - len(runnable)
+    traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=jobs)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            traces = list(executor.map(lambda p: rerank_pool(p, ranker, cfg, corpus), runnable))
-    else:
-        traces = [rerank_pool(p, ranker, cfg, corpus) for p in runnable]
-
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(out_path)
     write_jsonl(
         (
-            {
-                "job_id": tr.job_id,
-                "initial": list(tr.initial),
-                "final": list(tr.final),
-                "degraded_calls": tr.degraded_calls,
-            }
+            {"job_id": tr.job_id, "initial": list(tr.initial), "final": list(tr.final),
+             "degraded_calls": tr.degraded_calls}
             for tr in traces
         ),
         out,
     )
-    effective = {
-        "engine": cfg.as_dict(),
-        "ranker": {"name": ranker_name, "p_flip": p_flip},
-    }
-    _write_meta(out, effective, seed)
-
+    _write_meta(out, {"engine": cfg.as_dict(), "ranker": ranker_cfg}, seed)
     if trace:
-        trace_path = out.parent / (out.stem + ".trace.jsonl")
-        write_jsonl(
-            (
-                {
-                    "job_id": tr.job_id,
-                    "iteration": call.iteration,
-                    "start": call.start,
-                    "before": call.before,
-                    "after": call.after,
-                    "raw_text": call.raw_text,
-                    "repaired": call.repaired,
-                    "degraded": call.degraded,
-                }
-                for tr in traces
-                for call in tr.calls
-            ),
-            trace_path,
-        )
+        calls = ({"job_id": tr.job_id, **asdict(call)} for tr in traces for call in tr.calls)
+        write_jsonl(calls, out.parent / (out.stem + ".trace.jsonl"))
 
     degraded = sum(tr.degraded_calls for tr in traces)
     click.echo(
-        f"reranked {len(traces)} pools ({skipped} skipped for size != {cfg.pool_size}); "
-        f"degraded calls: {degraded}"
+        f"reranked {len(traces)} pools ({len(pools) - len(runnable)} skipped for size != "
+        f"{cfg.pool_size}); degraded calls: {degraded}"
     )
     return 1 if degraded else 0
 
 
 @main.command("evaluate")
-@click.option("--pools", "pools_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--reranked", "reranked_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_path_options("pools", "labels", "reranked", "out")
 @click.option("--metric-k", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, seed, config_path):
+def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, config, seed):
     """Score re-ranked pools against labels: nDCG@k and Recall@k, before and after."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    labels = load_labels(_require_path(_resolve(labels_path, config, "paths", "labels"), "labels"))
-    pools = load_pools(
-        _require_path(_resolve(pools_path, config, "paths", "pools"), "pools"),
-        labels,
-    )
-    by_job = {p.job_id: p for p in pools}
-    reranked_path = _require_path(reranked_path, "reranked")
+    labels = load_labels(_input(labels_path, "labels", config))
+    by_job = {p.job_id: p for p in _pools(pools_path, config, labels)}
+    reranked_path = _input(reranked_path, "reranked")
 
     engine_cfg = {}
     meta_path = Path(f"{reranked_path}.meta.json")
@@ -516,8 +420,7 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, see
         with open(meta_path, encoding="utf-8") as fh:
             engine_cfg = json.load(fh).get("config", {}).get("engine", {})
 
-    per_job = []
-    excluded = []
+    scored = []
     first_line: dict[str, int] = {}
     for lineno, rec in iter_jsonl(reranked_path):
         job_id = rec.get("job_id")
@@ -535,59 +438,19 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, see
                 f"final ordering for job {job_id!r} is not a permutation of its pool",
                 line=lineno,
             )
-        rels_before = pool.relevance()
-        rels_after = pool.relevance(final)
-        if not any(rels_before):
-            excluded.append(job_id)
-            continue
-        per_job.append(
-            {
-                "job_id": job_id,
-                f"ndcg{metric_k}_before": ndcg(rels_before, metric_k),
-                f"ndcg{metric_k}_after": ndcg(rels_after, metric_k),
-                f"recall{metric_k}_before": recall_at_k(rels_before, metric_k),
-                f"recall{metric_k}_after": recall_at_k(rels_after, metric_k),
-                "degraded_calls": rec.get("degraded_calls", 0),
-            }
-        )
-    per_job.sort(key=lambda row: row["job_id"])
+        scored.append((pool, final, rec.get("degraded_calls", 0)))
 
-    def macro(key):
-        return sum(row[key] for row in per_job) / len(per_job) if per_job else 0.0
-
-    nb, na = macro(f"ndcg{metric_k}_before"), macro(f"ndcg{metric_k}_after")
-    rb, ra = macro(f"recall{metric_k}_before"), macro(f"recall{metric_k}_after")
     effective = {"engine": engine_cfg, "metric_k": metric_k}
-    report = {
-        "config": engine_cfg,
-        "per_job": per_job,
-        "macro": {
-            f"ndcg{metric_k}_before": nb,
-            f"ndcg{metric_k}_after": na,
-            f"recall{metric_k}_before": rb,
-            f"recall{metric_k}_after": ra,
-            "average_before": (nb + rb) / 2,
-            "average_after": (na + ra) / 2,
-            "jobs_evaluated": len(per_job),
-            "jobs_excluded": len(excluded),
-            "degraded_calls": sum(row["degraded_calls"] for row in per_job),
-        },
-        "excluded": sorted(excluded),
-        "provenance": {
-            "config_hash": _config_hash(effective),
-            "seed": seed,
-            "version": __version__,
-        },
-    }
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    scores = score_run(scored, metric_k)
+    out = _out(out_path)
+    _write_json(out, {"config": engine_cfg, **scores, "provenance": _provenance(effective, seed)})
     _write_meta(out, effective, seed)
+    macro = scores["macro"]
+    nb, na = macro[f"ndcg{metric_k}_before"], macro[f"ndcg{metric_k}_after"]
+    rb, ra = macro[f"recall{metric_k}_before"], macro[f"recall{metric_k}_after"]
     click.echo(
-        f"evaluated {len(per_job)} jobs (excluded {len(excluded)} with no positives; "
-        f"{len(by_job) - len(first_line)} loaded pools had no reranked row): "
+        f"evaluated {macro['jobs_evaluated']} jobs (excluded {macro['jobs_excluded']} with no "
+        f"positives; {len(by_job) - len(scored)} loaded pools had no reranked row): "
         f"nDCG@{metric_k} {nb:.4f} -> {na:.4f}, Recall@{metric_k} {rb:.4f} -> {ra:.4f}"
     )
     return 0
@@ -610,55 +473,31 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 
 
 @main.command("ablate")
-@click.option("--pools", "pools_path", type=click.Path(), default=None)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_path_options("pools", "corpus", "labels", "out")
 @click.option("--grid", default=DEFAULT_ABLATION_GRID, show_default=True, help="Comma-separated k:s points.")
 @click.option("-t", "--iterations", "t", type=int, default=None)
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
 @click.option("--p-flip", type=float, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=1)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, seed, jobs, config_path):
+def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
-    from .engine import ablate as engine_ablate
-
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    ranker_name = _resolve(ranker_name, config, "ranker", "builtin", default="noisy")
-    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
     t = _resolve(t, config, "engine", "iterations", default=2)
     pool_size = _resolve(None, config, "engine", "pool_size", default=20)
-    corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
-    labels = load_labels(_require_path(_resolve(labels_path, config, "paths", "labels"), "labels"))
-    pools = load_pools(
-        _require_path(_resolve(pools_path, config, "paths", "pools"), "pools"),
-        labels,
-        resume_ids={i for i, d in corpus.items() if d.kind == KIND_RESUME},
-    )
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    labels = load_labels(_input(labels_path, "labels", config))
+    pools = _pools(pools_path, config, labels, corpus)
     pools = [p for p in pools if len(p.candidates) == pool_size and p.accepted_ids]
-    ranker = _make_ranker(ranker_name, accepted_by_job(labels), p_flip, seed, config)
+    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, "noisy", seed, config, lambda: labels)
 
     grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
-    rows, rejected = engine_ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=jobs)
+    rows, rejected = ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=jobs)
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"rows": rows, "rejected": rejected}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    effective = {
-        "grid": grid,
-        "iterations": t,
-        "pool_size": pool_size,
-        "ranker": {"name": ranker_name, "p_flip": p_flip},
-    }
-    _write_meta(out, effective, seed)
+    out = _out(out_path)
+    _write_json(out, {"rows": rows, "rejected": rejected})
+    _write_meta(out, {"grid": grid, "iterations": t, "pool_size": pool_size, "ranker": ranker_cfg}, seed)
 
     click.echo(f"{'setting':<14} {'nDCG@10':>8} {'Recall@10':>10} {'comp/iter':>10}")
     for row in rows:
@@ -677,35 +516,22 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 
 
 @main.command("distill")
-@click.option("--windows", "windows_path", required=True, type=click.Path())
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--labels", "labels_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_path_options("windows", "corpus", "labels", "out")
 @click.option("--teacher", "teacher_name", type=click.Choice(BUILTIN_RANKERS), default=None)
 @click.option("--p-flip", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, seed, config_path):
+def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, config, seed):
     """Collect teacher generations whose answer ranks the gold candidate first."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    teacher_name = _resolve(teacher_name, config, "ranker", "builtin", default="endpoint")
-    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
-    windows = _load_windows(_require_path(windows_path, "windows"))
-    corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
-
-    accepted = {}
-    if teacher_name in ("oracle", "noisy"):
-        labels_path = _require_path(_resolve(labels_path, config, "paths", "labels"), "labels")
-        accepted = accepted_by_job(load_labels(labels_path))
-    teacher = _make_ranker(teacher_name, accepted, p_flip, seed, config)
+    windows = _windows(windows_path)
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    teacher, teacher_cfg = _make_ranker(
+        teacher_name, p_flip, "endpoint", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
+    )
 
     records, stats = distill_sft(windows, teacher, corpus)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(out_path)
     write_jsonl(records, out)
-    _write_meta(out, {"teacher": {"name": teacher_name, "p_flip": p_flip}}, seed)
+    _write_meta(out, {"teacher": teacher_cfg}, seed)
     click.echo(
         f"kept {stats.kept}/{len(windows)} windows "
         f"(wrong top: {stats.dropped_wrong_top}, malformed: {stats.dropped_malformed})"
@@ -714,8 +540,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 
 
 @main.command("simulate-grpo")
-@click.option("--windows", "windows_path", required=True, type=click.Path())
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
+@_path_options("windows", "corpus")
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--reward", type=click.Choice(("rearank", "rankr1")), default="rearank", show_default=True)
 @click.option("--features", type=click.Choice(("match", "noise")), default="match", show_default=True)
@@ -724,30 +549,20 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @click.option("--learning-rate", type=float, default=4.0, show_default=True, help="Desk-scale override of the recorded 1e-6 default.")
 @click.option("--epochs", type=int, default=2, show_default=True)
 @click.option("--batch-size", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @_command
-def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, seed, config_path):
+def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
-    config = _load_config(config_path)
-    seed = _resolve(seed, config, "seed", default=0)
-    windows = _load_windows(_require_path(windows_path, "windows"))
-    corpus = load_corpus(_require_path(_resolve(corpus_path, config, "paths", "corpus"), "corpus"))
+    windows = _windows(windows_path)
+    corpus = load_corpus(_input(corpus_path, "corpus", config))
 
     if features == "match":
         feature_fn, names = match_features(corpus)
     else:
         feature_fn, names = noise_features(seed)
     policy = make_policy(feature_fn, names)
-    cfg = GrpoConfig(
-        group_size=group_size,
-        beta=beta,
-        learning_rate=learning_rate,
-        epochs=epochs,
-        batch_size=batch_size,
-        reward=reward,
-        rng_seed=seed,
-    )
+    settings = {"group_size": group_size, "beta": beta, "learning_rate": learning_rate,
+                "epochs": epochs, "batch_size": batch_size, "reward": reward}
+    cfg = GrpoConfig(**settings, rng_seed=seed)
 
     initial_reward = evaluate_mean_reward(policy, windows, cfg, "initial")
     result = train(policy, windows, cfg)
@@ -757,19 +572,8 @@ def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, grou
     out.mkdir(parents=True, exist_ok=True)
     write_curve(result.curve, out / "curve.csv")
     save_policy(result.policy, out / "policy.json")
-    effective = {
-        "grpo": {
-            "group_size": group_size,
-            "beta": beta,
-            "learning_rate": learning_rate,
-            "epochs": epochs,
-            "batch_size": batch_size,
-            "reward": reward,
-            "features": features,
-        }
-    }
     for name in ("curve.csv", "policy.json"):
-        _write_meta(out / name, effective, seed)
+        _write_meta(out / name, {"grpo": {**settings, "features": features}}, seed)
     click.echo(
         f"trained {len(result.curve)} steps on {len(windows)} windows; "
         f"mean reward {initial_reward:.4f} -> {final_reward:.4f}"

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     DuplicateId,
@@ -237,15 +238,22 @@ def load_pools(
 
     Candidates absent from the label table are marked unlabeled. When
     ``resume_ids`` is given, every candidate must resolve against it
-    (UnknownDocument otherwise). A pool with no candidates raises EmptyPool.
+    (UnknownDocument otherwise). A pool with no candidates raises EmptyPool,
+    and a job with two pools raises MalformedRecord.
     """
     known = frozenset(resume_ids) if resume_ids is not None else None
     pools: list[tuple[str, list[str]]] = []
+    first_line: dict[str, int] = {}
     for lineno, rec in iter_jsonl(path):
         job_id = rec.get("job_id")
         candidates = rec.get("candidates")
         if not isinstance(job_id, str) or not isinstance(candidates, list):
             raise MalformedRecord("pool needs 'job_id' and 'candidates'", line=lineno)
+        if job_id in first_line:
+            raise MalformedRecord(
+                f"pool for job {job_id!r} repeats line {first_line[job_id]}", line=lineno
+            )
+        first_line[job_id] = lineno
         if not candidates:
             raise EmptyPool(f"pool for job {job_id!r} has no candidates (line {lineno})")
         if len(set(candidates)) != len(candidates):
@@ -287,3 +295,23 @@ def write_pools(pools: Iterable[RankedPool], path: str | Path) -> None:
         ({"job_id": p.job_id, "candidates": list(p.candidates)} for p in pools),
         path,
     )
+
+
+# ---------------------------------------------------------------------------
+# fan-out
+# ---------------------------------------------------------------------------
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> list[_R]:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads when workers > 1.
+
+    Results keep input order, and the error of the first failing item in
+    input order is the one raised.
+    """
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(fn, items))

@@ -10,12 +10,11 @@ schedule is a pure function of (N, k, s) and independent of ranker behavior.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import Document, RankedPool
+from .core import Document, RankedPool, parallel_map
 from .errors import ConfigError
 from .metrics import ndcg, recall_at_k
 from .ranker import Ranker, RankRequest, SamplingParams
@@ -165,33 +164,34 @@ def rerank_pool(
     )
 
 
-def evaluate_run(
+def rerank_pools(
     pools: Sequence[RankedPool],
     ranker: Ranker,
     cfg: EngineConfig,
     corpus: Mapping[str, Document],
-    metric_k: int = 10,
     max_workers: int = 1,
-):
-    """Re-rank every pool and report nDCG@k / Recall@k before and after.
+) -> list[RerankTrace]:
+    """Re-rank every pool, up to ``max_workers`` pools at a time; traces keep pool order."""
+    return parallel_map(lambda pool: rerank_pool(pool, ranker, cfg, corpus), pools, max_workers)
 
-    Pools without a single accepted candidate cannot be scored and are
-    excluded (their job ids are reported). Jobs run in parallel up to
-    ``max_workers``; rows are merged deterministically by job id.
+
+def score_run(
+    scored: Iterable[tuple[RankedPool, Sequence[str], int]], metric_k: int = 10
+) -> dict:
+    """Report nDCG@k / Recall@k before and after re-ranking, per job and macro.
+
+    ``scored`` holds (pool, final ordering, degraded calls) triples. Pools
+    without a single accepted candidate cannot be scored and are excluded
+    (their job ids are reported). Rows are sorted by job id; each macro
+    figure is the ``fmean`` of its per-job column.
     """
-    scored = [p for p in pools if p.accepted_ids]
-    excluded = [p.job_id for p in pools if not p.accepted_ids]
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            traces = list(pool_exec.map(lambda p: rerank_pool(p, ranker, cfg, corpus), scored))
-    else:
-        traces = [rerank_pool(p, ranker, cfg, corpus) for p in scored]
-
-    per_job = []
-    for pool, trace in sorted(zip(scored, traces), key=lambda pair: pair[0].job_id):
+    per_job, excluded = [], []
+    for pool, final, degraded_calls in scored:
         rels_before = pool.relevance()
-        rels_after = pool.relevance(trace.final)
+        if not any(rels_before):
+            excluded.append(pool.job_id)
+            continue
+        rels_after = pool.relevance(final)
         per_job.append(
             {
                 "job_id": pool.job_id,
@@ -199,17 +199,17 @@ def evaluate_run(
                 f"ndcg{metric_k}_after": ndcg(rels_after, metric_k),
                 f"recall{metric_k}_before": recall_at_k(rels_before, metric_k),
                 f"recall{metric_k}_after": recall_at_k(rels_after, metric_k),
-                "degraded_calls": trace.degraded_calls,
+                "degraded_calls": degraded_calls,
             }
         )
+    per_job.sort(key=lambda row: row["job_id"])
 
     def macro(key: str) -> float:
         return fmean(row[key] for row in per_job) if per_job else 0.0
 
     nb, na = macro(f"ndcg{metric_k}_before"), macro(f"ndcg{metric_k}_after")
     rb, ra = macro(f"recall{metric_k}_before"), macro(f"recall{metric_k}_after")
-    report = {
-        "config": cfg.as_dict(),
+    return {
         "per_job": per_job,
         "macro": {
             f"ndcg{metric_k}_before": nb,
@@ -224,7 +224,28 @@ def evaluate_run(
         },
         "excluded": sorted(excluded),
     }
-    return report
+
+
+def evaluate_run(
+    pools: Sequence[RankedPool],
+    ranker: Ranker,
+    cfg: EngineConfig,
+    corpus: Mapping[str, Document],
+    metric_k: int = 10,
+    max_workers: int = 1,
+):
+    """Re-rank every scorable pool and report it with ``score_run``.
+
+    Pools without an accepted candidate are excluded without being re-ranked.
+    """
+    scored = [p for p in pools if p.accepted_ids]
+    traces = rerank_pools(scored, ranker, cfg, corpus, max_workers)
+    report = score_run(
+        [(p, tr.final, tr.degraded_calls) for p, tr in zip(scored, traces)]
+        + [(p, p.candidates, 0) for p in pools if not p.accepted_ids],
+        metric_k,
+    )
+    return {"config": cfg.as_dict(), **report}
 
 
 def ablate(

@@ -27,7 +27,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 import requests
 
@@ -36,6 +36,8 @@ from .errors import ConfigError, MalformedAnswer
 from .seeding import child_rng
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 SYSTEM_TEMPLATE = (
     "You are an expert technical recruiter that can rank resumes based on their "
@@ -295,11 +297,12 @@ def _requests_post(url, json=None, headers=None, timeout=None):
 
 
 class ChatCompletionsClient:
-    """Single-attempt POST /v1/chat/completions caller with a concurrency cap.
+    """POST /v1/chat/completions caller with a concurrency cap.
 
-    Authentication problems and rejected requests (HTTP 400, 404, 422) raise
-    ConfigError (fatal); any other failure, 408, 429 and 5xx included, raises
-    TransportFailure so callers can drive their own retry loops.
+    ``complete_once`` makes one attempt. Authentication problems and rejected
+    requests (HTTP 400, 404, 422) raise ConfigError (fatal); any other
+    failure, 408, 429 and 5xx included, raises TransportFailure, which
+    ``complete`` retries along with answers its parser rejects.
     """
 
     def __init__(self, cfg: EndpointConfig, post=None):
@@ -355,6 +358,25 @@ class ChatCompletionsClient:
         if attempt and self.cfg.retry_backoff_s:
             time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1))
 
+    def complete(
+        self, system: str, user: str, sampling: SamplingParams, parse: Callable[[str], _T]
+    ) -> tuple[str, _T, int]:
+        """Ask until ``parse`` accepts an answer: (content, parsed answer, retries).
+
+        Makes up to ``max_retries`` attempts with exponential backoff between
+        them. TransportFailure and MalformedAnswer are retried, and the last
+        one is raised once the attempts run out; ConfigError is raised at once.
+        """
+        last_error: Exception = TransportFailure("no attempt made (max_retries < 1)")
+        for attempt in range(self.cfg.max_retries):
+            self.backoff(attempt)
+            try:
+                content = self.complete_once(system, user, sampling)
+                return content, parse(content), attempt
+            except (TransportFailure, MalformedAnswer) as exc:
+                last_error = exc
+        raise last_error
+
 
 class LlmRanker:
     """Ranker backed by a chat-completions endpoint.
@@ -372,33 +394,29 @@ class LlmRanker:
     def __call__(self, req: RankRequest) -> RankResponse:
         system, user = build_prompt(req)
         started = time.perf_counter()
-        last_error: Exception | None = None
-        for attempt in range(self._cfg.max_retries):
-            self._client.backoff(attempt)
-            try:
-                content = self._client.complete_once(system, user, req.sampling)
-                ordering, repaired = parse_answer(content, req.k)
-            except (TransportFailure, MalformedAnswer) as exc:
-                last_error = exc
-                continue
-            return RankResponse(
-                raw_text=content,
-                ordering=ordering,
-                repaired=repaired,
-                latency_ms=(time.perf_counter() - started) * 1000.0,
-                retry_count=attempt,
+        try:
+            content, (ordering, repaired), retries = self._client.complete(
+                system, user, req.sampling, lambda raw: parse_answer(raw, req.k)
             )
-        log.warning(
-            "ranker degraded to identity for request %r after %d attempts: %s",
-            req.request_id,
-            self._cfg.max_retries,
-            last_error,
-        )
+        except (TransportFailure, MalformedAnswer) as exc:
+            log.warning(
+                "ranker degraded to identity for request %r after %d attempts: %s",
+                req.request_id,
+                self._cfg.max_retries,
+                exc,
+            )
+            return RankResponse(
+                raw_text="",
+                ordering=list(range(1, req.k + 1)),
+                repaired=True,
+                latency_ms=(time.perf_counter() - started) * 1000.0,
+                retry_count=self._cfg.max_retries - 1,
+                degraded=True,
+            )
         return RankResponse(
-            raw_text="",
-            ordering=list(range(1, req.k + 1)),
-            repaired=True,
+            raw_text=content,
+            ordering=ordering,
+            repaired=repaired,
             latency_ms=(time.perf_counter() - started) * 1000.0,
-            retry_count=self._cfg.max_retries - 1,
-            degraded=True,
+            retry_count=retries,
         )

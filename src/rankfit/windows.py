@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
-from .core import ACCEPTED, Document, RankedPool
+from .core import ACCEPTED, Document, RankedPool, parallel_map
 from .errors import ConfigError, MissingDifficulty
 from .ranker import (
     ANNOTATION_SAMPLING,
@@ -262,14 +262,7 @@ def annotate_difficulty(
                 hits += 1
         return replace(window, r_bar=hits / valid if valid else None)
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            annotated = list(executor.map(annotate_one, windows))
-    else:
-        annotated = [annotate_one(w) for w in windows]
-
+    annotated = parallel_map(annotate_one, windows, max_workers)
     stats = AnnotateStats(
         trials=cfg.annotate_trials,
         failed_windows=[w.window_id for w in annotated if w.r_bar is None],
@@ -347,13 +340,10 @@ def make_llm_judge(
             (slot, corpus[cid]) for slot, cid in enumerate(window.presented_ids(), start=1)
         )
         system, user = build_judge_prompt(corpus[window.job_id], docs, window.gold_slot())
-        for attempt in range(client.cfg.max_retries):
-            client.backoff(attempt)
-            try:
-                return parse_judge_answer(client.complete_once(system, user, sampling))
-            except (TransportFailure, MalformedAnswer):
-                continue
-        return True
+        try:
+            return client.complete(system, user, sampling, parse_judge_answer)[1]
+        except (TransportFailure, MalformedAnswer):
+            return True
 
     return judge
 

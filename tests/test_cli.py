@@ -1,12 +1,16 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from rankfit.cli import main
-from rankfit.core import write_corpus, write_jsonl, write_labels
+from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, write_corpus, write_jsonl, write_labels
+from rankfit.engine import EngineConfig, evaluate_run
+from rankfit.ranker import NoisyOracleRanker
 
 from conftest import make_job, make_resume, make_window
+from oracles import naive_ndcg, naive_recall
 
 
 @pytest.fixture
@@ -101,6 +105,26 @@ class TestBuildWindows:
         )
         assert result.exit_code == 2
         assert "error:" in result.output
+
+    def test_repeated_pool_job_exit_2(self, dataset, runner, tmp_path):
+        lines = (dataset / "pools.jsonl").read_text().splitlines()
+        pools = tmp_path / "pools.jsonl"
+        pools.write_text("\n".join([*lines, lines[0]]) + "\n")
+        out = tmp_path / "windows.jsonl"
+        result = invoke(
+            runner,
+            [
+                "build-windows",
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--labels", str(dataset / "labels.jsonl"),
+                "--pools", str(pools),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 2
+        job_id = json.loads(lines[0])["job_id"]
+        assert f"line {len(lines) + 1}: pool for job {job_id!r} repeats line 1" in result.output
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -371,6 +395,74 @@ class TestRerankEvaluateAblate:
         assert result.exit_code == 0, result.output
         assert f"{short + 1} loaded pools had no reranked row" in result.output
 
+    def test_evaluate_scores_like_evaluate_run(self, dataset, runner, tmp_path):
+        """rerank + evaluate and engine.evaluate_run report the same per-job rows and macro."""
+        data = ["--corpus", str(dataset / "corpus.jsonl"), "--labels", str(dataset / "labels.jsonl")]
+        reranked = tmp_path / "reranked.jsonl"
+        result = invoke(
+            runner,
+            ["rerank", "--pools", str(dataset / "pools.jsonl"), *data, "--out", str(reranked),
+             "--ranker", "noisy", "--p-flip", "0.5", "--seed", "5"],
+        )
+        assert result.exit_code == 0, result.output
+        report_path = tmp_path / "report.json"
+        result = invoke(
+            runner,
+            ["evaluate", "--pools", str(dataset / "pools.jsonl"), "--labels", str(dataset / "labels.jsonl"),
+             "--reranked", str(reranked), "--out", str(report_path)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(report_path.read_text())
+
+        corpus = load_corpus(dataset / "corpus.jsonl")
+        labels = load_labels(dataset / "labels.jsonl")
+        pools = [p for p in load_pools(dataset / "pools.jsonl", labels) if len(p.candidates) == 20]
+        ranker = NoisyOracleRanker(accepted_by_job(labels), p_flip=0.5, seed=5)
+        expected = evaluate_run(pools, ranker, EngineConfig(), corpus)
+        assert report["per_job"] == expected["per_job"]
+        assert report["macro"] == expected["macro"]
+        assert report["excluded"] == expected["excluded"]
+
+        # the macro is the correctly rounded mean of independently computed per-job scores
+        by_job = {p.job_id: p for p in pools}
+        finals = {}
+        for line in reranked.read_text().splitlines():
+            rec = json.loads(line)
+            finals[rec["job_id"]] = rec["final"]
+        scored = [j for j in sorted(finals) if by_job[j].accepted_ids]
+        assert scored == [row["job_id"] for row in report["per_job"]]
+        means = {}
+        for when in ("before", "after"):
+            rels = [by_job[j].relevance(None if when == "before" else finals[j]) for j in scored]
+            means[f"ndcg10_{when}"] = math.fsum(naive_ndcg(r, 10) for r in rels) / len(rels)
+            means[f"recall10_{when}"] = math.fsum(naive_recall(r, 10) for r in rels) / len(rels)
+            means[f"average_{when}"] = (means[f"ndcg10_{when}"] + means[f"recall10_{when}"]) / 2
+        assert {key: report["macro"][key] for key in means} == means
+
+    def test_parallel_rerank_matches_serial(self, dataset, runner, tmp_path):
+        outputs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"jobs{jobs}" / "reranked.jsonl"
+            result = invoke(
+                runner,
+                [
+                    "rerank",
+                    "--pools", str(dataset / "pools.jsonl"),
+                    "--corpus", str(dataset / "corpus.jsonl"),
+                    "--labels", str(dataset / "labels.jsonl"),
+                    "--out", str(out),
+                    "--ranker", "noisy",
+                    "--p-flip", "0.5",
+                    "--jobs", jobs,
+                    "--trace",
+                ],
+            )
+            assert result.exit_code == 0, result.output
+            names = ("reranked.jsonl", "reranked.jsonl.meta.json", "reranked.trace.jsonl")
+            outputs.append([(out.parent / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2].count(b"\n") == 18 * outputs[0][0].count(b"\n")  # 9 windows x 2 passes
+
     def test_trace_flag_writes_trace(self, dataset, runner, tmp_path):
         reranked = tmp_path / "reranked.jsonl"
         result = invoke(
@@ -580,3 +672,80 @@ class TestSimulateGrpoCli:
         )
         assert result.exit_code == 2
         assert "error: no windows" in result.output
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A small dataset plus a windows and a reranked file, and a path that does not exist."""
+    root = tmp_path_factory.mktemp("inputs")
+    runner = CliRunner()
+    steps = [
+        ["gen-synthetic", "--out-dir", str(root), "--n-jobs", "12", "--n-background", "100", "--seed", "2"],
+        ["build-windows", "--corpus", str(root / "corpus.jsonl"), "--labels", str(root / "labels.jsonl"),
+         "--pools", str(root / "pools.jsonl"), "--out", str(root / "windows.jsonl")],
+        ["rerank", "--pools", str(root / "pools.jsonl"), "--corpus", str(root / "corpus.jsonl"),
+         "--labels", str(root / "labels.jsonl"), "--out", str(root / "reranked.jsonl")],
+    ]
+    for args in steps:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    files = {name: root / f"{name}.jsonl" for name in ("corpus", "labels", "pools", "windows", "reranked")}
+    return files, root / "nothing-here.jsonl"
+
+
+# every command that reads input files: (extra arguments, the files it needs)
+_COMMAND_INPUTS = {
+    "build-windows": (["--out", "{out}/w.jsonl"], ("corpus", "labels", "pools")),
+    "annotate": (["--out", "{out}/a.jsonl", "--ranker", "oracle"], ("windows", "corpus", "labels")),
+    "filter": (["--out", "{out}/f.jsonl", "--strategy", "llm_filter"], ("windows", "corpus")),
+    "rerank": (["--out", "{out}/r.jsonl"], ("pools", "corpus", "labels")),
+    "evaluate": (["--out", "{out}/e.json"], ("pools", "labels", "reranked")),
+    "ablate": (["--out", "{out}/ab.json", "--grid", "4:2", "-t", "1"], ("pools", "corpus", "labels")),
+    "distill": (["--out", "{out}/d.jsonl", "--teacher", "oracle"], ("windows", "corpus", "labels")),
+    "simulate-grpo": (["--out-dir", "{out}/g"], ("windows", "corpus")),
+}
+
+
+@pytest.mark.parametrize("how", ["absent", "missing"])
+@pytest.mark.parametrize(
+    "command,name", [(cmd, name) for cmd, (_, names) in _COMMAND_INPUTS.items() for name in names]
+)
+def test_missing_input_exits_2_naming_it(command, name, how, input_files, runner, tmp_path):
+    files, nowhere = input_files
+    extra, names = _COMMAND_INPUTS[command]
+    args = [command, *(arg.format(out=tmp_path) for arg in extra)]
+    for other in names:
+        if other != name:
+            args += [f"--{other}", str(files[other])]
+        elif how == "missing":
+            args += [f"--{other}", str(nowhere)]
+    result = invoke(runner, args)
+    assert result.exit_code == 2, result.output
+    if how == "missing":
+        assert f"error: {name} path {nowhere} does not exist" in result.output
+    elif name in ("windows", "reranked"):  # required options, checked by click
+        assert f"Missing option '--{name}'" in result.output
+    else:
+        assert f"error: missing required path for {name}" in result.output
+
+
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        ({"pipeline": 5}, "config section 'pipeline' must be a JSON object"),
+        ({"pipeline": {"n_reps": 2}}, "unknown pipeline config keys: ['n_reps']"),
+        ({"ranker": "oops"}, "ranker 'endpoint' requires a config file with ranker.endpoint.base_url"),
+        ({"ranker": {"endpoint": {"base_url": "x", "model": "m", "retries": 1}}}, "unknown endpoint config keys"),
+    ],
+)
+def test_bad_config_section_exits_2(config, expected, input_files, runner, tmp_path):
+    files, _ = input_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result = invoke(
+        runner,
+        ["filter", "--windows", str(files["windows"]), "--out", str(tmp_path / "f.jsonl"),
+         "--strategy", "llm_filter", "--corpus", str(files["corpus"]), "--config", str(config_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {expected}" in result.output

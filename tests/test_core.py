@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 
 import pytest
 
@@ -13,6 +14,7 @@ from rankfit.core import (
     load_corpus,
     load_labels,
     load_pools,
+    parallel_map,
     render_document,
     write_corpus,
     write_jsonl,
@@ -192,6 +194,13 @@ class TestLoadPools:
         with pytest.raises(EmptyPool):
             load_pools(path, [])
 
+    def test_repeated_job_names_both_lines(self, tmp_path):
+        path = tmp_path / "pools.jsonl"
+        records = [{"job_id": j, "candidates": [f"{j}-r1", f"{j}-r2"]} for j in ("j1", "j2", "j1")]
+        _write_lines(path, [json.dumps(rec) for rec in records])
+        with pytest.raises(MalformedRecord, match=r"^line 3: pool for job 'j1' repeats line 1$"):
+            load_pools(path, [])
+
     def test_duplicate_candidates(self, tmp_path):
         path = self._pool_file(tmp_path, ["r1", "r1"])
         with pytest.raises(MalformedRecord):
@@ -226,3 +235,38 @@ class TestLoadPools:
         (loaded,) = load_pools(path, [])
         assert loaded.job_id == "j1"
         assert loaded.candidates == ("r1", "r2")
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers", [0, 1, 4, 16])
+    def test_keeps_input_order(self, workers):
+        items = list(range(5))
+        assert parallel_map(lambda x: x * x, items, workers) == [0, 1, 4, 9, 16]
+
+    def test_more_workers_than_items(self):
+        release = threading.Event()
+
+        def slow_first(x):
+            if x == 0:  # finishes last, yet its result stays first
+                release.wait(timeout=5)
+            else:
+                release.set()
+            return f"item{x}"
+
+        assert parallel_map(slow_first, [0, 1, 2], 8) == ["item0", "item1", "item2"]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_raises_first_failure_in_input_order(self, workers):
+        later_failed = threading.Event()
+
+        def fn(x):
+            if x == 1:  # in parallel, fails only after item 3 has failed
+                later_failed.wait(timeout=5 if workers > 1 else 0)
+                raise ValueError("item 1")
+            if x == 3:
+                later_failed.set()
+                raise ValueError("item 3")
+            return x
+
+        with pytest.raises(ValueError, match="item 1"):
+            parallel_map(fn, [0, 1, 2, 3], workers)

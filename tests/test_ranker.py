@@ -341,6 +341,40 @@ class TestLlmRanker:
         assert sorted(resp.ordering) == [1, 2, 3, 4]
 
 
+class TestClientComplete:
+    """The one retry loop shared by LlmRanker and the llm_filter judge."""
+
+    def _client(self, replies, **cfg):
+        calls = {"n": 0}
+
+        def post(url, json=None, headers=None, timeout=None):
+            reply = replies[min(calls["n"], len(replies) - 1)]
+            calls["n"] += 1
+            if isinstance(reply, int):
+                return FakeResponse(status_code=reply)
+            return FakeResponse(content=reply)
+
+        return ChatCompletionsClient(endpoint_cfg(**cfg), post=post), calls
+
+    def test_returns_content_parsed_answer_and_retries(self):
+        client, calls = self._client([503, "no answer here", "<answer> yes </answer>"])
+        content, verdict, retries = client.complete("s", "u", SamplingParams(), parse_judge_answer)
+        assert (content, verdict, retries) == ("<answer> yes </answer>", True, 2)
+        assert calls["n"] == 3
+
+    def test_raises_last_error_after_max_retries(self):
+        client, calls = self._client([503, "no answer here"], max_retries=2)
+        with pytest.raises(MalformedAnswer):
+            client.complete("s", "u", SamplingParams(), parse_judge_answer)
+        assert calls["n"] == 2
+
+    def test_fatal_status_is_not_retried(self):
+        client, calls = self._client([404, "<answer> yes </answer>"])
+        with pytest.raises(ConfigError, match="HTTP 404"):
+            client.complete("s", "u", SamplingParams(), parse_judge_answer)
+        assert calls["n"] == 1
+
+
 _ERROR_STATUS = {"error": 500, "not_found": 404}
 
 
