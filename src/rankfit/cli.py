@@ -80,7 +80,7 @@ def _command(fn):
     @functools.wraps(fn)
     def wrapper(*args, seed, config_path, **kwargs):
         try:
-            config = _load_config(config_path)
+            config = _load_object(config_path)
             code = fn(*args, config=config, seed=_resolve(seed, config, "seed", default=0), **kwargs)
         except RankfitError as exc:
             click.echo(f"error: {exc}", err=True)
@@ -90,17 +90,18 @@ def _command(fn):
     return wrapper
 
 
-def _load_config(path: str | None) -> dict:
+def _load_object(path: str | Path | None, what: str = "config file") -> dict:
+    """The JSON object in ``path`` ({} without a path); ``what`` names the file in errors."""
     if not path:
         return {}
     if not Path(path).exists():
-        raise ConfigError(f"config file {path} does not exist")
+        raise ConfigError(f"{what} {path} does not exist")
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"{what} {path} must hold a JSON object")
     return cfg
 
 
@@ -414,11 +415,9 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
     by_job = {p.job_id: p for p in _pools(pools_path, config, labels)}
     reranked_path = _input(reranked_path, "reranked")
 
-    engine_cfg = {}
     meta_path = Path(f"{reranked_path}.meta.json")
-    if meta_path.exists():
-        with open(meta_path, encoding="utf-8") as fh:
-            engine_cfg = json.load(fh).get("config", {}).get("engine", {})
+    meta = _load_object(meta_path, "reranked sidecar") if meta_path.exists() else {}
+    engine_cfg = _resolve(None, meta, "config", "engine", default={})
 
     scored = []
     first_line: dict[str, int] = {}

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .core import Document
 from .errors import ConfigError, InvalidOrdering, NumericalError
 from .metrics import RewardGroup, group_advantages, ndcg, rankr1_reward, rearank_reward
@@ -44,7 +42,7 @@ from .windows import Window
 REWARD_MODES = ("rearank", "rankr1")
 KL_MODES = ("exact", "sampled")
 
-FeatureFn = Callable[[Window, str], np.ndarray]
+FeatureFn = Callable[[Window, str], "np.ndarray"]
 
 
 @dataclass
@@ -57,6 +55,7 @@ class PLPolicy:
 
     def features(self, window: Window) -> np.ndarray:
         """Feature matrix (k x d) for the window's presented candidates."""
+        import numpy as np
         return np.array([self.feature_fn(window, cid) for cid in window.presented_ids()], dtype=float)
 
     def scores(self, window: Window) -> np.ndarray:
@@ -96,6 +95,7 @@ class GrpoConfig:
 @functools.lru_cache(maxsize=None)
 def _perm_table(k: int) -> np.ndarray:
     """All k! orderings of range(k), one per row, in itertools order (read-only)."""
+    import numpy as np
     table = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
     table.flags.writeable = False
     return table
@@ -103,6 +103,7 @@ def _perm_table(k: int) -> np.ndarray:
 
 def _perm_indices(window: Window, orderings: Sequence[Sequence[str]]) -> np.ndarray:
     """Orderings of the window's candidates as an (n x k) array of presented-slot indices."""
+    import numpy as np
     ids = window.presented_ids()
     expected = sorted(ids)
     index = {cid: i for i, cid in enumerate(ids)}
@@ -123,6 +124,7 @@ def _pl_steps(scores: np.ndarray, feats: np.ndarray, perms: np.ndarray) -> tuple
     log-probabilities (n x k-1) and their gradients in theta (n x k-1 x d):
     the chosen candidate's features minus their mean under the step's softmax.
     """
+    import numpy as np
     k = perms.shape[1]
     s = scores[perms]
     f = feats[perms]
@@ -148,6 +150,7 @@ def pl_log_prob(policy: PLPolicy, window: Window, ordering: Sequence[str]) -> fl
 
 def _draws(rng: random.Random, n: int, k: int) -> np.ndarray:
     """The k-1 uniform draws each of n sampled orderings consumes, in sampling order."""
+    import numpy as np
     return np.array([rng.random() for _ in range(n * (k - 1))]).reshape(n, k - 1)
 
 
@@ -159,6 +162,7 @@ def _sample_perms(scores: np.ndarray, draws: np.ndarray) -> np.ndarray:
     sum exceeds the step's draw, or the last one when rounding leaves the draw
     above the total.
     """
+    import numpy as np
     n, k = scores.shape
     rows = np.arange(n)
     left = np.tile(np.arange(k), (n, 1))
@@ -199,6 +203,7 @@ def _rank_rewards(window: Window, mode: str) -> np.ndarray:
 
     Both reward modes depend on the ordering only through the gold's rank.
     """
+    import numpy as np
     others = [cid for cid in window.presented_ids() if cid != window.gold_id]
     return np.array(
         [window_reward(window, (*others[:r], window.gold_id, *others[r:]), mode) for r in range(len(others) + 1)]
@@ -207,6 +212,7 @@ def _rank_rewards(window: Window, mode: str) -> np.ndarray:
 
 def sample_group(policy: PLPolicy, window: Window, cfg: GrpoConfig, rng: random.Random) -> RewardGroup:
     """Sample ``group_size`` orderings, score them, and standardize advantages."""
+    import numpy as np
     ids = window.presented_ids()
     scores = np.broadcast_to(policy.scores(window), (cfg.group_size, len(ids)))
     perms = _sample_perms(scores, _draws(rng, cfg.group_size, len(ids)))
@@ -228,6 +234,7 @@ def kl_exact(policy: PLPolicy, ref: PLPolicy, window: Window) -> tuple[float, np
     the +1 keeps the gradient exact for the value as computed (the sum of
     p * grad_logp vanishes analytically over the full enumeration).
     """
+    import numpy as np
     table = _perm_table(len(window.candidate_ids))
     logp, grads = _policy_steps(policy, window, table)
     ref_logp, _ = _policy_steps(ref, window, table)
@@ -241,6 +248,7 @@ def kl_sampled(
     policy: PLPolicy, ref: PLPolicy, window: Window, orderings: Sequence[Sequence[str]]
 ) -> tuple[float, np.ndarray]:
     """Per-sample log-ratio estimator averaged over the group, as a function of theta."""
+    import numpy as np
     perms = _perm_indices(window, orderings)
     logp, grads = _policy_steps(policy, window, perms)
     ref_logp, _ = _policy_steps(ref, window, perms)
@@ -254,6 +262,7 @@ def kl_sampled(
 
 def group_step_probs(policy: PLPolicy, window: Window, group: RewardGroup) -> list[list[float]]:
     """Per-sample selection-step probabilities under ``policy`` (ratio denominators)."""
+    import numpy as np
     logp, _ = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
     return np.exp(logp).tolist()
 
@@ -294,6 +303,7 @@ def surrogate_grad(
     current step probabilities, every ratio is 1, and the policy-gradient part
     reduces to the advantage-weighted score function.
     """
+    import numpy as np
     logp, grads = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
     probs = np.exp(logp)
     ratios = probs / (probs if denoms is None else np.asarray(denoms, dtype=float))
@@ -345,6 +355,7 @@ def grpo_step(
     depend on iteration order or parallelism. Raises NumericalError naming the
     offending window if any per-window gradient is non-finite.
     """
+    import numpy as np
     if not batch:
         raise ConfigError("grpo_step requires a non-empty batch")
     grad_total = np.zeros_like(policy.theta)
@@ -371,6 +382,7 @@ def grpo_step(
 
 def _window_features(policy: PLPolicy, windows: Sequence[Window]) -> np.ndarray:
     """The windows' feature matrices stacked into one (W x k x d) array; k must be the same for all."""
+    import numpy as np
     if not windows:
         raise ConfigError("no windows to evaluate")
     k = len(windows[0].candidate_ids)
@@ -385,6 +397,7 @@ def _window_features(policy: PLPolicy, windows: Sequence[Window]) -> np.ndarray:
 
 def _running_total(values: np.ndarray) -> float:
     """Left-to-right sum, in the order a ``total += v`` loop adds (np.sum adds pairwise)."""
+    import numpy as np
     return float(np.cumsum(values)[-1])
 
 
@@ -394,6 +407,7 @@ def greedy_ndcg4(policy: PLPolicy, windows: Sequence[Window], feats: np.ndarray 
     ``feats`` is the windows' stacked (W x k x d) feature array, for callers
     that evaluate the same windows repeatedly.
     """
+    import numpy as np
     if feats is None:
         feats = _window_features(policy, windows)
     k = feats.shape[1]
@@ -411,6 +425,7 @@ def evaluate_mean_reward(
     samples_per_window: int = 8,
 ) -> float:
     """Monte-Carlo estimate of the expected reward under the policy."""
+    import numpy as np
     feats = _window_features(policy, windows)
     k = feats.shape[1]
     draws = np.concatenate(
@@ -461,6 +476,7 @@ def train(policy: PLPolicy, windows: Sequence[Window], cfg: GrpoConfig) -> Train
 
 def match_features(corpus: Mapping[str, Document]) -> tuple[FeatureFn, list[str]]:
     """Informative features: the candidate's required-skill coverage plus a bias."""
+    import numpy as np
     cache: dict[tuple[str, str], float] = {}
 
     def fn(window: Window, cid: str) -> np.ndarray:
@@ -474,6 +490,7 @@ def match_features(corpus: Mapping[str, Document]) -> tuple[FeatureFn, list[str]
 
 def noise_features(seed: int, dim: int = 2) -> tuple[FeatureFn, list[str]]:
     """Pure-noise features, independent of the gold label; the null task."""
+    import numpy as np
 
     def fn(window: Window, cid: str) -> np.ndarray:
         rng = child_rng(seed, f"feat:{window.window_id}:{cid}")
@@ -483,6 +500,7 @@ def noise_features(seed: int, dim: int = 2) -> tuple[FeatureFn, list[str]]:
 
 
 def make_policy(feature_fn: FeatureFn, feature_names: Sequence[str]) -> PLPolicy:
+    import numpy as np
     return PLPolicy(np.zeros(len(feature_names)), feature_fn, list(feature_names))
 
 

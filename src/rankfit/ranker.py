@@ -29,8 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TypeVar
 
-import requests
-
 from .core import Document, render_document
 from .errors import ConfigError, MalformedAnswer
 from .seeding import child_rng
@@ -287,12 +285,24 @@ class EndpointConfig:
     max_concurrency: int = 4
     retry_backoff_s: float = 0.5
 
+    def __post_init__(self):
+        for key, kind, ok, rule in (
+            ("max_retries", int, lambda v: v >= 1, "an integer >= 1"),
+            ("max_concurrency", int, lambda v: v >= 1, "an integer >= 1"),
+            ("timeout_s", (int, float), lambda v: v > 0, "a number > 0"),
+            ("retry_backoff_s", (int, float), lambda v: v >= 0, "a number >= 0"),
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ConfigError(f"endpoint {key} must be {rule}, got {value!r}")
+
 
 class TransportFailure(Exception):
     """Internal: one chat-completion attempt failed in a retryable way."""
 
 
 def _requests_post(url, json=None, headers=None, timeout=None):
+    import requests
     return requests.post(url, json=json, headers=headers, timeout=timeout)
 
 
@@ -318,6 +328,7 @@ class ChatCompletionsClient:
                 )
 
     def complete_once(self, system: str, user: str, sampling: SamplingParams) -> str:
+        import requests
         payload = {
             "model": self.cfg.model,
             "messages": [
@@ -367,15 +378,14 @@ class ChatCompletionsClient:
         them. TransportFailure and MalformedAnswer are retried, and the last
         one is raised once the attempts run out; ConfigError is raised at once.
         """
-        last_error: Exception = TransportFailure("no attempt made (max_retries < 1)")
         for attempt in range(self.cfg.max_retries):
             self.backoff(attempt)
             try:
                 content = self.complete_once(system, user, sampling)
                 return content, parse(content), attempt
-            except (TransportFailure, MalformedAnswer) as exc:
-                last_error = exc
-        raise last_error
+            except (TransportFailure, MalformedAnswer):
+                if attempt == self.cfg.max_retries - 1:
+                    raise
 
 
 class LlmRanker:

@@ -20,8 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, ACCEPTED, UNLABELED, join_labels
 from .errors import ConfigError
 from .seeding import child_rng
@@ -136,6 +134,7 @@ def _gauss_many(rng: random.Random, n: int, sigma: float) -> np.ndarray:
     in numpy, so every value is bit-identical. numpy's own log/cos/sin may
     differ by an ulp, depending on the CPU, so they are not used.
     """
+    import numpy as np
     z = np.empty(n)
     if n == 0:
         return z
@@ -168,6 +167,7 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
     accepted/rejected resumes; everything else is unlabeled, mirroring sparse
     real-world interaction data.
     """
+    import numpy as np
     rng = child_rng(cfg.seed, "synthetic")
     documents: dict[str, Document] = {}
     skill_col = {skill: i for i, skill in enumerate(SKILLS)}

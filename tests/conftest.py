@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +74,36 @@ def corpus_for_windows(windows):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs the CLI as the console script does, then reports which of the heavy
+# third-party modules the process loaded
+_PROBE = """
+import json, sys
+from rankfit.cli import main
+try:
+    main(sys.argv[1:], prog_name="rankfit")
+except SystemExit as exc:
+    code = exc.code or 0
+print(json.dumps({"exit": code, "loaded": [m for m in ("numpy", "requests") if m in sys.modules]}))
+"""
+
+
+def run_rankfit(args, timeout=60):
+    """``rankfit ARGS`` in a fresh interpreter: (exit code, output, ["numpy", "requests"] subset loaded).
+
+    A run that outlives ``timeout`` seconds raises subprocess.TimeoutExpired.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *map(str, args)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    *lines, last = proc.stdout.splitlines() or [""]
+    try:
+        report = json.loads(last)
+    except ValueError:
+        raise AssertionError(f"rankfit {args} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}") from None
+    return report["exit"], "\n".join(lines) + proc.stderr, report["loaded"]

@@ -9,7 +9,7 @@ from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, 
 from rankfit.engine import EngineConfig, evaluate_run
 from rankfit.ranker import NoisyOracleRanker
 
-from conftest import make_job, make_resume, make_window
+from conftest import make_job, make_resume, make_window, run_rankfit
 from oracles import naive_ndcg, naive_recall
 
 
@@ -749,3 +749,46 @@ def test_bad_config_section_exits_2(config, expected, input_files, runner, tmp_p
     )
     assert result.exit_code == 2, result.output
     assert f"error: {expected}" in result.output
+
+
+@pytest.mark.parametrize("content", ["{", "[]"])
+def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp_path):
+    files, _ = input_files
+    reranked = tmp_path / "reranked.jsonl"
+    reranked.write_bytes(files["reranked"].read_bytes())
+    sidecar = tmp_path / "reranked.jsonl.meta.json"
+    sidecar.write_text(content)
+    result = invoke(
+        runner,
+        ["evaluate", "--pools", str(files["pools"]), "--labels", str(files["labels"]),
+         "--reranked", str(reranked), "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: reranked sidecar {sidecar}" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("max_retries", 0),
+        ("max_concurrency", 0),  # a zero-permit gate blocks the first call forever
+        ("timeout_s", 0),
+        ("retry_backoff_s", -1),
+        ("max_retries", "3"),
+        ("max_concurrency", True),
+    ],
+)
+def test_unusable_endpoint_numbers_exit_2(key, value, input_files, tmp_path):
+    files, _ = input_files
+    config = tmp_path / "endpoint.json"
+    # nothing listens on the discard port, so an attempted call fails fast
+    endpoint = {"base_url": "http://127.0.0.1:9", "model": "m", key: value}
+    config.write_text(json.dumps({"ranker": {"endpoint": endpoint}}))
+    code, output, _ = run_rankfit(
+        ["rerank", "--pools", files["pools"], "--corpus", files["corpus"], "--labels", files["labels"],
+         "--out", tmp_path / "r.jsonl", "--ranker", "endpoint", "--config", config],
+        timeout=30,
+    )
+    assert code == 2, output
+    assert f"error: endpoint {key} must be" in output

@@ -27,7 +27,7 @@ from rankfit.ranker import (
     parse_judge_answer,
 )
 
-from conftest import make_job, make_resume
+from conftest import make_job, make_resume, run_rankfit
 
 
 def make_request(k=4, job_id="j1", hint=None, request_id="req"):
@@ -473,3 +473,31 @@ class TestLlmRankerOverHttp:
         assert result.exit_code == 2, result.output
         assert "HTTP 404" in result.output
         assert "'no-such-model'" in result.output
+
+    def test_cli_rerank_imports_requests_from_worker_threads(self, http_server, tmp_path):
+        """A fresh process first imports requests in four worker threads at once."""
+        _Handler.behavior = "ok"
+        data = tmp_path / "data"
+        result = CliRunner().invoke(
+            main, ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "6", "--n-background", "60", "--seed", "5"]
+        )
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"ranker": {"endpoint": {
+            "base_url": http_server, "model": "m", "timeout_s": 5, "retry_backoff_s": 0.0, "max_concurrency": 4,
+        }}}))
+        outputs = []
+        for jobs in (4, 1):
+            out = tmp_path / f"jobs{jobs}" / "reranked.jsonl"
+            code, output, loaded = run_rankfit(
+                ["rerank", "--pools", data / "pools.jsonl", "--corpus", data / "corpus.jsonl",
+                 "--labels", data / "labels.jsonl", "--out", out, "--ranker", "endpoint",
+                 "--config", config, "--jobs", jobs],
+                timeout=60,
+            )
+            assert code == 0, output
+            assert "degraded calls: 0" in output
+            assert loaded == ["requests"]
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") >= 4  # enough pools to keep four workers busy
