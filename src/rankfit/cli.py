@@ -343,7 +343,8 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     out = _out(out_path)
     write_jsonl((w.to_record() for w in kept), out)
     _write_meta(out, {"strategy": strategy, "hard_threshold": cfg.hard_threshold}, seed)
-    click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}")
+    failed = f" ({len(judge.failed)} kept after judge failure)" if judge else ""
+    click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -286,6 +287,17 @@ class EndpointConfig:
     retry_backoff_s: float = 0.5
 
     def __post_init__(self):
+        from urllib.parse import urlsplit
+
+        try:  # reading .port raises ValueError unless it is a number in 0-65535
+            parts = urlsplit(self.base_url)
+            usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except (AttributeError, ValueError):
+            usable = False
+        if not usable:
+            raise ConfigError(
+                f"endpoint base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
+            )
         for key, kind, ok, rule in (
             ("max_retries", int, lambda v: v >= 1, "an integer >= 1"),
             ("max_concurrency", int, lambda v: v >= 1, "an integer >= 1"),
@@ -298,12 +310,40 @@ class EndpointConfig:
 
 
 class TransportFailure(Exception):
-    """Internal: one chat-completion attempt failed in a retryable way."""
+    """Internal: an attempt failed in a retryable way; ``retry_after`` is a 429/503 reply's wait in s."""
+
+    def __init__(self, message: str, retry_after: int | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 def _requests_post(url, json=None, headers=None, timeout=None):
-    import requests
-    return requests.post(url, json=json, headers=headers, timeout=timeout)
+    """POST ``json`` on a connection of its own; returns ``status_code``, ``headers`` and ``json()``.
+
+    Standard library only: no proxy variable is read, and https uses the
+    system CA store. The name stays until the next benchmark change, because
+    the benchmark's ``ranker.transport`` span binds to it.
+    """
+    import http.client
+    import ssl
+    from json import dumps, loads
+    from types import SimpleNamespace
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    if parts.scheme == "https":
+        conn = http.client.HTTPSConnection(
+            parts.hostname, parts.port, timeout=timeout, context=ssl.create_default_context()
+        )
+    else:
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        conn.request("POST", parts.path, body=dumps(json).encode(), headers=headers or {})
+        resp = conn.getresponse()
+        body = resp.read()
+    finally:
+        conn.close()
+    return SimpleNamespace(status_code=resp.status, headers=resp.headers, json=lambda: loads(body))
 
 
 class ChatCompletionsClient:
@@ -319,6 +359,7 @@ class ChatCompletionsClient:
         self.cfg = cfg
         self._post = post or _requests_post
         self._gate = threading.BoundedSemaphore(cfg.max_concurrency)
+        self._jitter = random.Random()  # its own stream: seeded draws elsewhere never move
         self._api_key = None
         if cfg.api_key_env:
             self._api_key = os.environ.get(cfg.api_key_env)
@@ -328,7 +369,7 @@ class ChatCompletionsClient:
                 )
 
     def complete_once(self, system: str, user: str, sampling: SamplingParams) -> str:
-        import requests
+        import http.client
         payload = {
             "model": self.cfg.model,
             "messages": [
@@ -348,8 +389,8 @@ class ChatCompletionsClient:
         try:
             with self._gate:
                 resp = self._post(url, json=payload, headers=headers, timeout=self.cfg.timeout_s)
-        except requests.RequestException as exc:
-            raise TransportFailure(str(exc)) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
         if resp.status_code in (401, 403):
             raise ConfigError(f"endpoint authentication failed (HTTP {resp.status_code})")
         # a retry repeats these (bad payload, unknown model or route)
@@ -359,33 +400,41 @@ class ChatCompletionsClient:
                 f"check the model name {self.cfg.model!r} and base_url"
             )
         if resp.status_code >= 400:
-            raise TransportFailure(f"HTTP {resp.status_code}")
+            wait = resp.headers.get("Retry-After", "") if resp.status_code in (429, 503) else ""
+            raise TransportFailure(  # an HTTP-date or any other non-integer is not used
+                f"HTTP {resp.status_code}", int(wait) if wait.strip().isdecimal() else None
+            )
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportFailure(f"malformed response body: {exc}") from exc
 
-    def backoff(self, attempt: int) -> None:
-        if attempt and self.cfg.retry_backoff_s:
-            time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1))
+    def backoff(self, attempt: int, retry_after: int | None = None) -> None:
+        """Before attempt ``attempt`` > 0: Retry-After capped at ``timeout_s``, else jittered doubling."""
+        if retry_after is not None:
+            time.sleep(min(retry_after, self.cfg.timeout_s))
+        elif attempt and self.cfg.retry_backoff_s:
+            time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1) * (0.5 + self._jitter.random()))
 
     def complete(
         self, system: str, user: str, sampling: SamplingParams, parse: Callable[[str], _T]
     ) -> tuple[str, _T, int]:
         """Ask until ``parse`` accepts an answer: (content, parsed answer, retries).
 
-        Makes up to ``max_retries`` attempts with exponential backoff between
-        them. TransportFailure and MalformedAnswer are retried, and the last
-        one is raised once the attempts run out; ConfigError is raised at once.
+        Makes up to ``max_retries`` attempts with ``backoff`` between them.
+        TransportFailure and MalformedAnswer are retried, and the last one is
+        raised once the attempts run out; ConfigError is raised at once.
         """
+        retry_after = None
         for attempt in range(self.cfg.max_retries):
-            self.backoff(attempt)
+            self.backoff(attempt, retry_after)
             try:
                 content = self.complete_once(system, user, sampling)
                 return content, parse(content), attempt
-            except (TransportFailure, MalformedAnswer):
+            except (TransportFailure, MalformedAnswer) as exc:
                 if attempt == self.cfg.max_retries - 1:
                     raise
+                retry_after = getattr(exc, "retry_after", None)
 
 
 class LlmRanker:

@@ -331,9 +331,11 @@ def make_llm_judge(
     """LLM-as-a-judge for llm_filter: keeps windows whose gold looks clearly best.
 
     Judge failures keep the window (dropping data on a transport hiccup would
-    silently shrink the training set) and are logged by the client.
+    silently shrink the training set); the judge's ``failed`` list collects
+    the ids of the windows kept that way.
     """
     sampling = sampling if sampling is not None else SamplingParams()
+    failed: list[str] = []
 
     def judge(window: Window) -> bool:
         docs = tuple(
@@ -343,8 +345,10 @@ def make_llm_judge(
         try:
             return client.complete(system, user, sampling, parse_judge_answer)[1]
         except (TransportFailure, MalformedAnswer):
+            failed.append(window.window_id)
             return True
 
+    judge.failed = failed
     return judge
 
 

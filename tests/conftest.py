@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,49 @@ def run_rankfit(args, timeout=60):
     except ValueError:
         raise AssertionError(f"rankfit {args} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}") from None
     return report["exit"], "\n".join(lines) + proc.stderr, report["loaded"]
+
+
+_ERROR_STATUS = {"error": 500, "not_found": 404}
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    """A chat-completions endpoint answering [2] > [3] > [1] > [4], or the error status ``behavior`` names."""
+
+    behavior = "ok"
+    hits = 0
+    last_body = None
+
+    def do_POST(self):
+        type(self).hits += 1
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        type(self).last_body = body
+        assert body["messages"][0]["role"] == "system"
+        if type(self).behavior in _ERROR_STATUS:
+            self.send_response(_ERROR_STATUS[type(self).behavior])
+            self.end_headers()
+            return
+        reply = {
+            "choices": [
+                {"message": {"content": "<answer> [2] > [3] > [1] > [4] </answer>"}}
+            ]
+        }
+        payload = json.dumps(reply).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server():
+    server = HTTPServer(("127.0.0.1", 0), ChatHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()

@@ -226,6 +226,42 @@ class TestAnnotateAndFilter:
         assert result.exit_code == 2
         assert "endpoint" in result.output
 
+    def test_llm_filter_reports_windows_kept_after_judge_failure(
+        self, dataset, built_windows, runner, tmp_path, monkeypatch
+    ):
+        """A judge that says no to gold slot 2 and fails on gold slot 3 (one verdict per gold slot)."""
+        import re
+
+        import rankfit.cli
+        from rankfit.ranker import TransportFailure
+        from rankfit.windows import Window
+
+        class SlotJudgeClient:
+            def __init__(self, cfg):
+                pass
+
+            def complete(self, system, user, sampling, parse):
+                slot = int(re.search(r"The accepted candidate is Resume \[(\d)\]", user).group(1))
+                if slot == 3:
+                    raise TransportFailure("HTTP 503")
+                return "", parse("<answer> no </answer>" if slot == 2 else "<answer> yes </answer>"), 0
+
+        monkeypatch.setattr(rankfit.cli, "ChatCompletionsClient", SlotJudgeClient)
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"ranker": {"endpoint": {"base_url": "http://127.0.0.1:9", "model": "m"}}}))
+        out = tmp_path / "f.jsonl"
+        result = invoke(
+            runner,
+            ["filter", "--windows", str(built_windows), "--out", str(out), "--strategy", "llm_filter",
+             "--corpus", str(dataset / "corpus.jsonl"), "--config", str(config)],
+        )
+        assert result.exit_code == 0, result.output
+        slots = [Window.from_record(json.loads(line)).gold_slot() for line in built_windows.read_text().splitlines()]
+        kept = len(slots) - slots.count(2)
+        assert slots.count(3) > 0
+        assert f"kept {kept}/{len(slots)} windows under strategy llm_filter ({slots.count(3)} kept after judge failure)" in result.output
+        assert len(out.read_text().splitlines()) == kept
+
     def test_subsample_hard_stable_across_runs(self, dataset, built_windows, runner, tmp_path):
         annotated = tmp_path / "annotated.jsonl"
         invoke(
@@ -777,6 +813,10 @@ def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp
         ("retry_backoff_s", -1),
         ("max_retries", "3"),
         ("max_concurrency", True),
+        ("base_url", "localhost:9"),  # no scheme: every call used to retry, then degrade
+        ("base_url", "ftp://127.0.0.1:9"),
+        ("base_url", "http://:9"),
+        ("base_url", "http://127.0.0.1:port"),
     ],
 )
 def test_unusable_endpoint_numbers_exit_2(key, value, input_files, tmp_path):

@@ -1,10 +1,14 @@
+import http.client
 import itertools
 import json
+import random
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +25,14 @@ from rankfit.ranker import (
     OracleRanker,
     RankRequest,
     SamplingParams,
+    TransportFailure,
     build_prompt,
     format_answer,
     parse_answer,
     parse_judge_answer,
 )
 
-from conftest import make_job, make_resume, run_rankfit
+from conftest import ChatHandler, make_job, make_resume, run_rankfit
 
 
 def make_request(k=4, job_id="j1", hint=None, request_id="req"):
@@ -211,8 +216,9 @@ class TestReferenceRankers:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, content="", body=None):
+    def __init__(self, status_code=200, content="", body=None, headers=None):
         self.status_code = status_code
+        self.headers = headers or {}
         self._body = body if body is not None else {
             "choices": [{"message": {"content": content}}]
         }
@@ -254,7 +260,7 @@ class TestLlmRanker:
         def post(url, json=None, headers=None, timeout=None):
             calls["n"] += 1
             if calls["n"] <= 2:
-                raise requests.Timeout("slow")
+                raise TimeoutError("timed out")
             return FakeResponse(content="<answer> [1] > [2] > [3] > [4] </answer>")
 
         resp = LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
@@ -374,73 +380,73 @@ class TestClientComplete:
             client.complete("s", "u", SamplingParams(), parse_judge_answer)
         assert calls["n"] == 1
 
+    @pytest.mark.parametrize(
+        "status,retry_after,waited",
+        [
+            (429, "2", 2),
+            (503, " 4 ", 4),
+            (429, "120", 5),  # capped at timeout_s
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", None),  # an HTTP-date falls back to the backoff
+            (429, "soon", None),
+            (429, "-1", None),
+            (429, None, None),
+            (500, "2", None),  # only 429 and 503 are honoured
+        ],
+    )
+    def test_retry_after_else_backoff(self, status, retry_after, waited, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        replies = [
+            FakeResponse(status_code=status, headers={} if retry_after is None else {"Retry-After": retry_after}),
+            FakeResponse(content="<answer> yes </answer>"),
+        ]
+        client = ChatCompletionsClient(
+            endpoint_cfg(timeout_s=5, retry_backoff_s=1.0), post=lambda *args, **kwargs: replies.pop(0)
+        )
+        assert client.complete("s", "u", SamplingParams(), parse_judge_answer)[1:] == (True, 1)
+        if waited is None:
+            assert len(sleeps) == 1 and 0.5 <= sleeps[0] < 1.5
+        else:
+            assert sleeps == [waited]
 
-_ERROR_STATUS = {"error": 500, "not_found": 404}
-
-
-class _Handler(BaseHTTPRequestHandler):
-    behavior = "ok"
-    hits = 0
-    last_body = None
-
-    def do_POST(self):
-        type(self).hits += 1
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).last_body = body
-        assert body["messages"][0]["role"] == "system"
-        if type(self).behavior in _ERROR_STATUS:
-            self.send_response(_ERROR_STATUS[type(self).behavior])
-            self.end_headers()
-            return
-        reply = {
-            "choices": [
-                {"message": {"content": "<answer> [2] > [3] > [1] > [4] </answer>"}}
-            ]
-        }
-        payload = json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+    def test_backoff_jitter_leaves_seeded_streams_alone(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        state = random.getstate()
+        waits = []
+        for _ in range(5):
+            client, _ = self._client([503], max_retries=4, retry_backoff_s=1.0)
+            with pytest.raises(TransportFailure, match="HTTP 503"):
+                client.complete("s", "u", SamplingParams(), parse_judge_answer)
+            waits.append([wait / 2 ** i for i, wait in enumerate(sleeps)])
+            sleeps.clear()
+        assert random.getstate() == state
+        assert all(len(w) == 3 and all(0.5 <= f < 1.5 for f in w) for w in waits)
+        assert len({f for w in waits for f in w}) > 1
 
 
 class TestLlmRankerOverHttp:
     def test_real_transport_happy_path(self, http_server):
-        _Handler.behavior = "ok"
+        ChatHandler.behavior = "ok"
         ranker = LlmRanker(endpoint_cfg(base_url=http_server, timeout_s=5))
         resp = ranker(make_request(k=4))
         assert resp.ordering == [2, 3, 1, 4]
         assert resp.latency_ms > 0
 
     def test_top_k_sent_only_when_set(self, http_server):
-        _Handler.behavior = "ok"
+        ChatHandler.behavior = "ok"
         client = ChatCompletionsClient(endpoint_cfg(base_url=http_server, timeout_s=5))
         client.complete_once("system", "user", ANNOTATION_SAMPLING)
-        assert _Handler.last_body["top_k"] == 20
-        assert _Handler.last_body["top_p"] == 0.95
+        assert ChatHandler.last_body["top_k"] == 20
+        assert ChatHandler.last_body["top_p"] == 0.95
         client.complete_once("system", "user", SamplingParams())
-        assert "top_k" not in _Handler.last_body
+        assert "top_k" not in ChatHandler.last_body
 
     def test_real_transport_500_degrades(self, http_server):
-        _Handler.behavior = "error"
+        ChatHandler.behavior = "error"
         ranker = LlmRanker(endpoint_cfg(base_url=http_server, timeout_s=5))
         resp = ranker(make_request(k=4))
-        _Handler.behavior = "ok"
+        ChatHandler.behavior = "ok"
         assert resp.degraded is True
         assert resp.ordering == [1, 2, 3, 4]
 
@@ -456,7 +462,7 @@ class TestLlmRankerOverHttp:
         config.write_text(json.dumps({"ranker": {"endpoint": {
             "base_url": http_server, "model": "no-such-model", "timeout_s": 5, "retry_backoff_s": 0.0,
         }}}))
-        _Handler.behavior = "not_found"
+        ChatHandler.behavior = "not_found"
         result = runner.invoke(
             main,
             [
@@ -469,14 +475,14 @@ class TestLlmRankerOverHttp:
                 "--config", str(config),
             ],
         )
-        _Handler.behavior = "ok"
+        ChatHandler.behavior = "ok"
         assert result.exit_code == 2, result.output
         assert "HTTP 404" in result.output
         assert "'no-such-model'" in result.output
 
-    def test_cli_rerank_imports_requests_from_worker_threads(self, http_server, tmp_path):
-        """A fresh process first imports requests in four worker threads at once."""
-        _Handler.behavior = "ok"
+    def test_cli_rerank_from_worker_threads_loads_no_http_library(self, http_server, tmp_path):
+        """Four worker threads of a fresh process call the endpoint at once, on the standard library alone."""
+        ChatHandler.behavior = "ok"
         data = tmp_path / "data"
         result = CliRunner().invoke(
             main, ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "6", "--n-background", "60", "--seed", "5"]
@@ -497,7 +503,120 @@ class TestLlmRankerOverHttp:
             )
             assert code == 0, output
             assert "degraded calls: 0" in output
-            assert loaded == ["requests"]
+            assert loaded == []
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") >= 4  # enough pools to keep four workers busy
+
+
+_OK_BODY = json.dumps({"choices": [{"message": {"content": "<answer> [1] > [2] > [3] > [4] </answer>"}}]}).encode()
+
+
+class _FaultHandler(BaseHTTPRequestHandler):
+    """Replies to the n-th request as ``server.script[n]`` says; the last entry repeats.
+
+    "ok" answers; "hold" answers after 50 ms; "short" sends a body 50 bytes
+    short of its Content-Length; "close" and "hang" close without a reply,
+    "hang" only once ``server.release`` is set; ``(status, headers)`` sends
+    that status. ``server.peak`` is the most requests in progress at once.
+    """
+
+    def do_POST(self):
+        server = self.server
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with server.lock:
+            fault = server.script[min(server.hits, len(server.script) - 1)]
+            server.hits += 1
+            server.open += 1
+            server.peak = max(server.peak, server.open)
+        if fault == "hang":
+            server.release.wait(30)
+        elif fault == "hold":
+            server.release.wait(0.05)
+        with server.lock:
+            server.open -= 1  # before the reply, which lets the client open its next connection
+        if fault in ("hang", "close"):
+            return
+        status, headers = fault if isinstance(fault, tuple) else (200, {})
+        body = _OK_BODY if status == 200 else b"{}"
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body) + (50 if fault == "short" else 0)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def fault_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultHandler)
+    server.script, server.hits, server.open, server.peak = ["ok"], 0, 0, 0
+    server.lock, server.release = threading.Lock(), threading.Event()
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+
+
+def _closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+class TestTransportFaults:
+    """The standard-library transport against a server that misbehaves on purpose."""
+
+    @pytest.mark.parametrize(
+        "fault,error",
+        [
+            ("hang", TimeoutError),
+            ("short", http.client.IncompleteRead),
+            ("close", http.client.RemoteDisconnected),
+            ("refused", ConnectionRefusedError),
+            ("tls", OSError),  # https against a plain-HTTP server: a TLS error or a handshake timeout
+        ],
+    )
+    def test_retryable_fault_degrades_after_retries(self, fault, error, fault_server):
+        fault_server.script = [fault]
+        url = fault_server.url
+        if fault == "refused":
+            url = _closed_port_url()
+        elif fault == "tls":
+            url = url.replace("http:", "https:")
+        cfg = endpoint_cfg(base_url=url, timeout_s=0.2, max_retries=2)
+        with pytest.raises(TransportFailure) as failure:
+            ChatCompletionsClient(cfg).complete_once("s", "u", SamplingParams())
+        assert isinstance(failure.value.__cause__, error)
+        resp = LlmRanker(cfg)(make_request(k=4))
+        assert (resp.degraded, resp.ordering, resp.retry_count) == (True, [1, 2, 3, 4], 1)
+        assert fault_server.hits == (0 if fault in ("refused", "tls") else 3)
+
+    def test_429_retry_after_zero_then_success(self, fault_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        fault_server.script = [(429, {"Retry-After": "0"}), "ok"]
+        resp = LlmRanker(endpoint_cfg(base_url=fault_server.url, timeout_s=5, retry_backoff_s=30))(make_request(k=4))
+        assert (resp.degraded, resp.retry_count, resp.ordering) == (False, 1, [1, 2, 3, 4])
+        assert sleeps == [0]
+        assert fault_server.hits == 2
+
+    def test_400_is_fatal_without_retry(self, fault_server):
+        fault_server.script = [(400, {})]
+        with pytest.raises(ConfigError, match="HTTP 400"):
+            LlmRanker(endpoint_cfg(base_url=fault_server.url, timeout_s=5, max_retries=3))(make_request(k=4))
+        assert fault_server.hits == 1
+
+    def test_shared_client_keeps_to_max_concurrency(self, fault_server):
+        fault_server.script = ["hold"]
+        client = ChatCompletionsClient(endpoint_cfg(base_url=fault_server.url, timeout_s=5, max_concurrency=2))
+        with ThreadPoolExecutor(8) as pool:
+            replies = list(pool.map(lambda _: client.complete_once("s", "u", SamplingParams()), range(24)))
+        assert len(replies) == fault_server.hits == 24
+        assert fault_server.peak == 2

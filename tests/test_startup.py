@@ -1,9 +1,11 @@
-"""Each CLI stage loads numpy and requests only when its code path uses them.
+"""Each CLI stage loads numpy only when its code path uses it, and no stage loads requests.
 
 Every stage is its own process, so a module-level import of either costs
 every stage its start-up time. Each run here is a fresh interpreter, because
-the test process itself has both loaded.
+the test process itself has numpy loaded.
 """
+
+import json
 
 import pytest
 
@@ -32,9 +34,13 @@ _STAGES = {
 
 
 @pytest.fixture(scope="module")
-def stage_runs(tmp_path_factory):
+def data(tmp_path_factory):
+    return tmp_path_factory.mktemp("startup")
+
+
+@pytest.fixture(scope="module")
+def stage_runs(data):
     """Every stage run once, in pipeline order: {stage: (exit code, output, modules loaded)}."""
-    data = tmp_path_factory.mktemp("startup")
     return {
         stage: run_rankfit([arg.format(d=data) for arg in args])
         for stage, (args, _) in _STAGES.items()
@@ -46,3 +52,18 @@ def test_stage_loads_only_the_modules_it_uses(stage, stage_runs):
     code, output, loaded = stage_runs[stage]
     assert code == 0, output
     assert loaded == _STAGES[stage][1]
+
+
+def test_endpoint_annotate_loads_neither(stage_runs, data, http_server):
+    """The HTTP client is the standard library's, so an endpoint stage loads no third-party module."""
+    assert stage_runs["build-windows"][0] == 0
+    config = data / "endpoint.json"
+    config.write_text(json.dumps({"ranker": {"endpoint": {"base_url": http_server, "model": "m", "timeout_s": 5}}}))
+    code, output, loaded = run_rankfit(
+        ["annotate", "--windows", data / "windows.jsonl", "--corpus", data / "corpus.jsonl",
+         "--labels", data / "labels.jsonl", "--out", data / "annotated-endpoint.jsonl",
+         "--ranker", "endpoint", "--config", config]
+    )
+    assert code == 0, output
+    assert "0 windows had no successful trial" in output
+    assert loaded == []

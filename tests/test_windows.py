@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from rankfit.core import ACCEPTED, REJECTED, UNLABELED, RankedPool
-from rankfit.errors import ConfigError, MissingDifficulty
+from rankfit.errors import ConfigError, MalformedAnswer, MissingDifficulty
 from rankfit.ranker import (
     NoisyOracleRanker,
     OracleRanker,
@@ -308,9 +308,7 @@ class TestLlmJudge:
             reply = replies[min(calls["n"], len(replies) - 1)]
             calls["n"] += 1
             if reply is None:
-                import requests
-
-                raise requests.ConnectionError("down")
+                raise ConnectionRefusedError("down")
             return FakeResponse(reply)
 
         client = ChatCompletionsClient(
@@ -336,6 +334,25 @@ class TestLlmJudge:
     def test_retries_through_malformed_reply(self):
         judge, window = self._judge_with(["gibberish", "<answer> no </answer>"])
         assert judge(window) is False
+
+    def test_windows_kept_after_judge_failure_are_counted(self, rng):
+        from rankfit.ranker import TransportFailure
+        from rankfit.windows import make_llm_judge
+
+        windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(6)]
+        failing = {"j1/w1": TransportFailure("down"), "j1/w4": MalformedAnswer("no answer block")}
+
+        class FailingClient:
+            def complete(self, system, user, sampling, parse):
+                for window_id, error in failing.items():
+                    if f"Engineer {window_id}-gold" in user:
+                        raise error
+                return "", parse("<answer> no </answer>"), 0
+
+        judge = make_llm_judge(FailingClient(), corpus_for_windows(windows))
+        kept = apply_strategy(windows, "llm_filter", rng, judge=judge)
+        assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
+        assert judge.failed == ["j1/w1", "j1/w4"]
 
 
 class TestDistill:
