@@ -130,15 +130,19 @@ def _input(flag: str | None, name: str, config: dict | None = None) -> Path:
     return Path(path)
 
 
-def _section(config: dict, name: str, cls) -> dict:
-    """A copy of config section ``name``; its keys must be fields of dataclass ``cls``."""
+def _settings(cls, config: dict, name: str, **flags):
+    """Dataclass ``cls`` from config section ``name``: flag > section > field default.
+
+    A flag counts unless it is None. The section must be a JSON object whose
+    keys are fields of ``cls``.
+    """
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
     unknown = set(section) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    return dict(section)
+    return cls(**{**section, **{key: value for key, value in flags.items() if value is not None}})
 
 
 def _out(path: str) -> Path:
@@ -171,7 +175,7 @@ def _endpoint_from_config(config: dict) -> EndpointConfig:
         raise ConfigError(
             "ranker 'endpoint' requires a config file with ranker.endpoint.base_url and .model"
         )
-    return EndpointConfig(**_section(config["ranker"], "endpoint", EndpointConfig))
+    return _settings(EndpointConfig, config["ranker"], "endpoint")
 
 
 def _make_ranker(name: str | None, p_flip: float | None, default: str, seed: int, config: dict, labels):
@@ -200,13 +204,18 @@ def _pools(flag: str | None, config: dict, labels, corpus=None):
     return load_pools(_input(flag, "pools", config), labels, resume_ids=resumes)
 
 
-def _windows(flag: str | None) -> list[Window]:
+def _windows(flag: str | None, corpus=None) -> list[Window]:
+    """Windows from the --windows file; with a corpus, each must name only its documents."""
     windows = []
     for lineno, rec in iter_jsonl(_input(flag, "windows")):
         try:
-            windows.append(Window.from_record(rec))
+            window = Window.from_record(rec)
         except (KeyError, ConfigError) as exc:
             raise MalformedRecord(f"bad window record: {exc}", line=lineno) from exc
+        missing = [] if corpus is None else [i for i in (window.job_id, *window.candidate_ids) if i not in corpus]
+        if missing:
+            raise MalformedRecord(f"window {window.window_id}: document {missing[0]!r} missing from corpus", line=lineno)
+        windows.append(window)
     return windows
 
 
@@ -224,10 +233,6 @@ def _path_options(*names: str):
         return fn
 
     return decorate
-
-
-def _pipeline_config(config: dict, seed: int) -> PipelineConfig:
-    return PipelineConfig(**{**_section(config, "pipeline", PipelineConfig), "rng_seed": seed})
 
 
 @click.group()
@@ -248,9 +253,7 @@ def main():
 @_command
 def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     """Generate a synthetic corpus, labels, and retrieval pools."""
-    flags = {"n_jobs": n_jobs, "n_background": n_background, "seed": seed}
-    section = _section(config, "synthetic", SyntheticConfig)
-    cfg = SyntheticConfig(**{**section, **{k: v for k, v in flags.items() if v is not None}})
+    cfg = _settings(SyntheticConfig, config, "synthetic", n_jobs=n_jobs, n_background=n_background, seed=seed)
     documents, labels, pools = generate(cfg)
 
     out = Path(out_dir)
@@ -273,7 +276,7 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
     """Build 4-candidate training windows from labeled pools."""
     corpus = load_corpus(_input(corpus_path, "corpus", config))
     pools = _pools(pools_path, config, load_labels(_input(labels_path, "labels", config)), corpus)
-    cfg = _pipeline_config(config, seed)
+    cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     windows, skips = build_all_windows(pools, cfg)
     out = _out(out_path)
@@ -305,12 +308,12 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
 @_command
 def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
-    windows = _windows(windows_path)
     corpus = load_corpus(_input(corpus_path, "corpus", config))
+    windows = _windows(windows_path, corpus)
     ranker, ranker_cfg = _make_ranker(
         ranker_name, p_flip, "noisy", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
     )
-    cfg = _pipeline_config(config, seed)
+    cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=jobs)
     out = _out(out_path)
@@ -330,12 +333,12 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 @_command
 def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     """Apply a data-filtering strategy to annotated windows."""
-    windows = _windows(windows_path)
-    cfg = _pipeline_config(config, seed)
+    corpus = load_corpus(_input(corpus_path, "corpus", config)) if strategy == "llm_filter" else None
+    windows = _windows(windows_path, corpus)
+    cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     judge = None
-    if strategy == "llm_filter":
-        corpus = load_corpus(_input(corpus_path, "corpus", config))
+    if corpus is not None:
         judge = make_llm_judge(ChatCompletionsClient(_endpoint_from_config(config)), corpus)
 
     rng = child_rng(seed, f"filter:{strategy}")
@@ -351,15 +354,6 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 # ---------------------------------------------------------------------------
 # rerank / evaluate / ablate
 # ---------------------------------------------------------------------------
-
-
-def _engine_config(config: dict, k, s, t, n) -> EngineConfig:
-    return EngineConfig(
-        window_size=_resolve(k, config, "engine", "window_size", default=4),
-        stride=_resolve(s, config, "engine", "stride", default=2),
-        iterations=_resolve(t, config, "engine", "iterations", default=2),
-        pool_size=_resolve(n, config, "engine", "pool_size", default=20),
-    )
 
 
 @main.command("rerank")
@@ -378,7 +372,7 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
     corpus = load_corpus(_input(corpus_path, "corpus", config))
     labels = load_labels(_input(labels_path, "labels", config))
     pools = _pools(pools_path, config, labels, corpus)
-    cfg = _engine_config(config, k, s, t, n)
+    cfg = _settings(EngineConfig, config, "engine", window_size=k, stride=s, iterations=t, pool_size=n)
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, "oracle", seed, config, lambda: labels)
 
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
@@ -393,7 +387,7 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
         ),
         out,
     )
-    _write_meta(out, {"engine": cfg.as_dict(), "ranker": ranker_cfg}, seed)
+    _write_meta(out, {"engine": asdict(cfg), "ranker": ranker_cfg}, seed)
     if trace:
         calls = ({"job_id": tr.job_id, **asdict(call)} for tr in traces for call in tr.calls)
         write_jsonl(calls, out.parent / (out.stem + ".trace.jsonl"))
@@ -482,8 +476,8 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 @_command
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
-    t = _resolve(t, config, "engine", "iterations", default=2)
-    pool_size = _resolve(None, config, "engine", "pool_size", default=20)
+    engine = _settings(EngineConfig, config, "engine", iterations=t)
+    t, pool_size = engine.iterations, engine.pool_size
     corpus = load_corpus(_input(corpus_path, "corpus", config))
     labels = load_labels(_input(labels_path, "labels", config))
     pools = _pools(pools_path, config, labels, corpus)
@@ -522,8 +516,8 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 @_command
 def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, config, seed):
     """Collect teacher generations whose answer ranks the gold candidate first."""
-    windows = _windows(windows_path)
     corpus = load_corpus(_input(corpus_path, "corpus", config))
+    windows = _windows(windows_path, corpus)
     teacher, teacher_cfg = _make_ranker(
         teacher_name, p_flip, "endpoint", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
     )
@@ -552,8 +546,8 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @_command
 def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
-    windows = _windows(windows_path)
     corpus = load_corpus(_input(corpus_path, "corpus", config))
+    windows = _windows(windows_path, corpus)
 
     if features == "match":
         feature_fn, names = match_features(corpus)

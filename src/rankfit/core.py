@@ -59,10 +59,6 @@ class Document:
     kind: str
     fields: tuple[tuple[str, str], ...]
 
-    @property
-    def token_estimate(self) -> int:
-        return estimate_tokens(render_document(self))
-
 
 @dataclass(frozen=True)
 class Label:
@@ -168,8 +164,8 @@ def _parse_document(rec: dict, lineno: int) -> Document:
     return Document(id=doc_id, kind=kind, fields=tuple(fields))
 
 
-def load_corpus(path: str | Path, kind: str | None = None) -> dict[str, Document]:
-    """Load documents keyed by id, optionally keeping only one kind.
+def load_corpus(path: str | Path) -> dict[str, Document]:
+    """Load documents keyed by id.
 
     Raises MalformedRecord (with line number) on schema violations and
     DuplicateId when an id repeats within the file.
@@ -180,8 +176,6 @@ def load_corpus(path: str | Path, kind: str | None = None) -> dict[str, Document
         if doc.id in docs:
             raise DuplicateId(f"duplicate document id {doc.id!r} (line {lineno})")
         docs[doc.id] = doc
-    if kind is not None:
-        return {i: d for i, d in docs.items() if d.kind == kind}
     return docs
 
 

@@ -10,14 +10,14 @@ schedule is a pure function of (N, k, s) and independent of ranker behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .core import Document, RankedPool, parallel_map
 from .errors import ConfigError
 from .metrics import ndcg, recall_at_k
-from .ranker import Ranker, RankRequest, SamplingParams
+from .ranker import Ranker, RankRequest
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,6 @@ class EngineConfig:
             )
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-
-    def as_dict(self) -> dict:
-        return {
-            "window_size": self.window_size,
-            "stride": self.stride,
-            "iterations": self.iterations,
-            "pool_size": self.pool_size,
-        }
 
 
 def window_starts(pool_size: int, window_size: int, stride: int) -> list[int]:
@@ -83,7 +75,6 @@ class RerankTrace:
     initial: tuple[str, ...]
     final: tuple[str, ...]
     calls: list[WindowCall] = field(default_factory=list)
-    windows_per_pass: int = 0
 
     @property
     def degraded_calls(self) -> int:
@@ -99,7 +90,6 @@ def rerank_pool(
     ranker: Ranker,
     cfg: EngineConfig,
     corpus: Mapping[str, Document],
-    sampling: SamplingParams | None = None,
 ) -> RerankTrace:
     """Run t sliding-window passes over one pool and trace every ranker call.
 
@@ -117,7 +107,6 @@ def rerank_pool(
     except KeyError:
         raise ConfigError(f"job {pool.job_id!r} missing from corpus") from None
 
-    sampling = sampling if sampling is not None else SamplingParams()
     k = cfg.window_size
     starts = window_starts(cfg.pool_size, k, cfg.stride)
     order = list(pool.candidates)
@@ -133,7 +122,6 @@ def rerank_pool(
                     (slot, corpus[cid]) for slot, cid in enumerate(window_ids, start=1)
                 ),
                 request_id=f"{pool.job_id}:it{iteration}:s{start}",
-                sampling=sampling,
             )
             resp = ranker(req)
             ordering = resp.ordering
@@ -155,13 +143,7 @@ def rerank_pool(
                 )
             )
 
-    return RerankTrace(
-        job_id=pool.job_id,
-        initial=pool.candidates,
-        final=tuple(order),
-        calls=calls,
-        windows_per_pass=len(starts),
-    )
+    return RerankTrace(job_id=pool.job_id, initial=pool.candidates, final=tuple(order), calls=calls)
 
 
 def rerank_pools(
@@ -231,10 +213,9 @@ def evaluate_run(
     ranker: Ranker,
     cfg: EngineConfig,
     corpus: Mapping[str, Document],
-    metric_k: int = 10,
     max_workers: int = 1,
 ):
-    """Re-rank every scorable pool and report it with ``score_run``.
+    """Re-rank every scorable pool and report it with ``score_run`` at k = 10.
 
     Pools without an accepted candidate are excluded without being re-ranked.
     """
@@ -242,10 +223,9 @@ def evaluate_run(
     traces = rerank_pools(scored, ranker, cfg, corpus, max_workers)
     report = score_run(
         [(p, tr.final, tr.degraded_calls) for p, tr in zip(scored, traces)]
-        + [(p, p.candidates, 0) for p in pools if not p.accepted_ids],
-        metric_k,
+        + [(p, p.candidates, 0) for p in pools if not p.accepted_ids]
     )
-    return {"config": cfg.as_dict(), **report}
+    return {"config": asdict(cfg), **report}
 
 
 def ablate(
@@ -253,8 +233,7 @@ def ablate(
     ranker: Ranker,
     grid: Sequence[tuple[int, int, int]],
     corpus: Mapping[str, Document],
-    metric_k: int = 10,
-    pool_size: int = 20,
+    pool_size: int = EngineConfig.pool_size,
     max_workers: int = 1,
 ):
     """Evaluate a (k, s, t) grid; invalid points are rejected, the rest still run.
@@ -269,12 +248,12 @@ def ablate(
         except ConfigError as exc:
             rejected.append({"setting": {"k": k, "s": s, "t": t}, "error": str(exc)})
             continue
-        report = evaluate_run(pools, ranker, cfg, corpus, metric_k=metric_k, max_workers=max_workers)
+        report = evaluate_run(pools, ranker, cfg, corpus, max_workers=max_workers)
         rows.append(
             {
                 "setting": {"k": k, "s": s, "t": t},
-                f"ndcg{metric_k}": report["macro"][f"ndcg{metric_k}_after"],
-                f"recall{metric_k}": report["macro"][f"recall{metric_k}_after"],
+                "ndcg10": report["macro"]["ndcg10_after"],
+                "recall10": report["macro"]["recall10_after"],
                 "comparisons_per_iter": comparisons_per_pass(pool_size, k, s),
             }
         )

@@ -41,6 +41,7 @@ from .windows import Window
 
 REWARD_MODES = ("rearank", "rankr1")
 KL_MODES = ("exact", "sampled")
+EVAL_SAMPLES_PER_WINDOW = 8  # Monte-Carlo draws per window in evaluate_mean_reward
 
 FeatureFn = Callable[[Window, str], "np.ndarray"]
 
@@ -79,6 +80,8 @@ class GrpoConfig:
     def __post_init__(self):
         if self.group_size < 1:
             raise ConfigError("group_size must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
         if self.reward not in REWARD_MODES:
@@ -422,18 +425,18 @@ def evaluate_mean_reward(
     windows: Sequence[Window],
     cfg: GrpoConfig,
     seed_tag: str,
-    samples_per_window: int = 8,
 ) -> float:
     """Monte-Carlo estimate of the expected reward under the policy."""
     import numpy as np
+    n = EVAL_SAMPLES_PER_WINDOW
     feats = _window_features(policy, windows)
     k = feats.shape[1]
     draws = np.concatenate(
-        [_draws(child_rng(cfg.rng_seed, f"eval:{seed_tag}:{w.window_id}"), samples_per_window, k) for w in windows]
+        [_draws(child_rng(cfg.rng_seed, f"eval:{seed_tag}:{w.window_id}"), n, k) for w in windows]
     )
-    perms = _sample_perms(np.repeat(feats @ policy.theta, samples_per_window, axis=0), draws)
-    gold = np.repeat([w.gold_slot() - 1 for w in windows], samples_per_window)
-    table = np.repeat([_rank_rewards(w, cfg.reward) for w in windows], samples_per_window, axis=0)
+    perms = _sample_perms(np.repeat(feats @ policy.theta, n, axis=0), draws)
+    gold = np.repeat([w.gold_slot() - 1 for w in windows], n)
+    table = np.repeat([_rank_rewards(w, cfg.reward) for w in windows], n, axis=0)
     rewards = table[np.arange(len(perms)), (perms == gold[:, None]).argmax(axis=1)]
     return _running_total(rewards) / len(rewards)
 

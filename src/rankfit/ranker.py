@@ -95,7 +95,6 @@ class RankRequest:
     job: Document
     candidates: tuple[tuple[int, Document], ...]
     request_id: str = ""
-    instructions: str | None = None
     hint: str | None = None
     sampling: SamplingParams = field(default_factory=SamplingParams)
 
@@ -130,18 +129,18 @@ def build_prompt(req: RankRequest) -> tuple[str, str]:
     """
     slots_format = " > ".join("[]" for _ in range(req.k))
     system = SYSTEM_TEMPLATE.format(slots=slots_format)
-    instructions = req.instructions if req.instructions is not None else DEFAULT_INSTRUCTIONS
-    if req.hint:
-        instructions = f"{instructions}\nHint: {req.hint}"
-    resumes_section = "\n\n".join(
-        f"Resume [{slot}]: {render_document(doc)}" for slot, doc in req.candidates
-    )
+    instructions = f"{DEFAULT_INSTRUCTIONS}\nHint: {req.hint}" if req.hint else DEFAULT_INSTRUCTIONS
     user = USER_TEMPLATE.format(
         instructions=instructions,
-        resumes_section=resumes_section,
+        resumes_section=_resumes_section(req),
         job_description=render_document(req.job),
     )
     return system, user
+
+
+def _resumes_section(req: RankRequest) -> str:
+    """The request's candidates as slot-numbered resume blocks, for both prompts."""
+    return "\n\n".join(f"Resume [{slot}]: {render_document(doc)}" for slot, doc in req.candidates)
 
 
 _ANSWER_BLOCK = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
@@ -196,20 +195,18 @@ def parse_judge_answer(raw: str) -> bool:
     return verdict == "yes"
 
 
-def build_judge_prompt(
-    job: Document, candidates: tuple[tuple[int, Document], ...], gold_slot: int
-) -> tuple[str, str]:
-    """Prompt asking whether the accepted candidate is clearly the best fit."""
+def build_judge_prompt(req: RankRequest, gold_slot: int) -> tuple[str, str]:
+    """Prompt asking whether the request's candidate in ``gold_slot`` is clearly the best fit.
+
+    The request's hint is not shown to the judge.
+    """
     system = (
         "You are an expert technical recruiter assessing the quality of a labeled "
         "training example. Answer strictly with <answer> yes </answer> or <answer> no </answer>."
     )
-    resumes_section = "\n\n".join(
-        f"Resume [{slot}]: {render_document(doc)}" for slot, doc in candidates
-    )
     user = (
-        f"JOB DESCRIPTION: [{render_document(job)}]\n\n"
-        f"Resumes:\n{resumes_section}\n\n"
+        f"JOB DESCRIPTION: [{render_document(req.job)}]\n\n"
+        f"Resumes:\n{_resumes_section(req)}\n\n"
         f"The accepted candidate is Resume [{gold_slot}]. {JUDGE_QUESTION}"
     )
     return system, user
@@ -255,8 +252,8 @@ class NoisyOracleRanker(OracleRanker):
 
     def __init__(self, accepted: Mapping[str, frozenset[str]], p_flip: float, seed: int = 0):
         super().__init__(accepted)
-        if not 0.0 <= p_flip <= 1.0:
-            raise ConfigError(f"p_flip must be in [0, 1], got {p_flip}")
+        if isinstance(p_flip, bool) or not isinstance(p_flip, (int, float)) or not 0 <= p_flip <= 1:
+            raise ConfigError(f"p_flip must be a number in [0, 1], got {p_flip!r}")
         self._p_flip = p_flip
         self._seed = seed
 

@@ -55,8 +55,13 @@ class SyntheticConfig:
     retrieval_noise: float = 0.08
 
     def __post_init__(self):
+        if self.pool_size < 2:  # a short pool holds pool_size // 2 to pool_size - 1 resumes
+            raise ConfigError(f"pool_size must be >= 2, got {self.pool_size}")
         if self.n_jobs < 1 or self.n_background < self.pool_size:
             raise ConfigError("need at least one job and pool_size background resumes")
+        for name in ("frac_no_positive", "frac_many_positives", "frac_short_pool"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.frac_no_positive + self.frac_many_positives + self.frac_short_pool > 0.9:
             raise ConfigError("archetype fractions leave too few normal jobs")
 
@@ -270,9 +275,8 @@ def make_eval_pools(
     n_pools: int,
     seed: int,
     pool_size: int = 20,
-    positives_per_pool: int = 1,
 ) -> tuple[dict[str, Document], list[RankedPool]]:
-    """Labeled pools with positives planted at uniformly random ranks.
+    """Labeled pools, each with one positive planted at a uniformly random rank.
 
     Built for engine experiments where the positive's starting depth must be
     unbiased; documents are minimal but renderable.
@@ -293,9 +297,7 @@ def make_eval_pools(
                 rid, rng.sample(SKILLS, 5), rng.randint(2, 12), rng.choice(TITLES), "Bachelor"
             )
             ids.append(rid)
-        positive_ranks = rng.sample(range(pool_size), positives_per_pool)
-        pool_labels = {
-            rid: ACCEPTED if i in positive_ranks else UNLABELED for i, rid in enumerate(ids)
-        }
+        positive_rank = rng.randrange(pool_size)
+        pool_labels = {rid: ACCEPTED if i == positive_rank else UNLABELED for i, rid in enumerate(ids)}
         pools.append(RankedPool(job_id=jid, candidates=tuple(ids), labels=pool_labels))
     return documents, pools

@@ -60,6 +60,10 @@ class PipelineConfig:
         for name in ("window_size", "neg_per_window", "n_rep", "m_max", "min_pool", "annotate_trials"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("hard_threshold", "subsample_keep"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -204,23 +208,14 @@ def build_all_windows(
 
 
 def window_request(
-    window: Window,
-    corpus: Mapping[str, Document],
-    tag: str,
-    sampling: SamplingParams,
-    include_hint: bool = True,
+    window: Window, corpus: Mapping[str, Document], tag: str, sampling: SamplingParams
 ) -> RankRequest:
     """Build the ranking request for a window's presented candidates."""
-    try:
-        job_doc = corpus[window.job_id]
-        docs = [corpus[cid] for cid in window.presented_ids()]
-    except KeyError as exc:
-        raise ConfigError(f"window {window.window_id}: document {exc} missing from corpus") from None
     return RankRequest(
-        job=job_doc,
-        candidates=tuple((slot, doc) for slot, doc in enumerate(docs, start=1)),
+        job=corpus[window.job_id],
+        candidates=tuple((slot, corpus[cid]) for slot, cid in enumerate(window.presented_ids(), start=1)),
         request_id=f"{window.window_id}:{tag}",
-        hint=window.hint if include_hint else None,
+        hint=window.hint,
         sampling=sampling,
     )
 
@@ -323,27 +318,20 @@ def apply_strategy(
     ]
 
 
-def make_llm_judge(
-    client: ChatCompletionsClient,
-    corpus: Mapping[str, Document],
-    sampling: SamplingParams | None = None,
-) -> Callable[[Window], bool]:
+def make_llm_judge(client: ChatCompletionsClient, corpus: Mapping[str, Document]) -> Callable[[Window], bool]:
     """LLM-as-a-judge for llm_filter: keeps windows whose gold looks clearly best.
 
     Judge failures keep the window (dropping data on a transport hiccup would
     silently shrink the training set); the judge's ``failed`` list collects
     the ids of the windows kept that way.
     """
-    sampling = sampling if sampling is not None else SamplingParams()
     failed: list[str] = []
 
     def judge(window: Window) -> bool:
-        docs = tuple(
-            (slot, corpus[cid]) for slot, cid in enumerate(window.presented_ids(), start=1)
-        )
-        system, user = build_judge_prompt(corpus[window.job_id], docs, window.gold_slot())
+        req = window_request(window, corpus, "judge", SamplingParams())
+        system, user = build_judge_prompt(req, window.gold_slot())
         try:
-            return client.complete(system, user, sampling, parse_judge_answer)[1]
+            return client.complete(system, user, req.sampling, parse_judge_answer)[1]
         except (TransportFailure, MalformedAnswer):
             failed.append(window.window_id)
             return True
@@ -363,7 +351,6 @@ def distill_sft(
     windows: Sequence[Window],
     teacher: Ranker,
     corpus: Mapping[str, Document],
-    sampling: SamplingParams | None = None,
 ) -> tuple[list[dict], DistillStats]:
     """Collect teacher generations that place the gold candidate first.
 
@@ -371,11 +358,10 @@ def distill_sft(
     generations whose parsed answer does not put the gold on top are dropped,
     and unusable (degraded) teacher outputs are dropped and counted.
     """
-    sampling = sampling if sampling is not None else SamplingParams()
     records: list[dict] = []
     stats = DistillStats()
     for window in windows:
-        req = window_request(window, corpus, "teacher", sampling)
+        req = window_request(window, corpus, "teacher", SamplingParams())
         resp = teacher(req)
         if resp.degraded:
             stats.dropped_malformed += 1

@@ -694,6 +694,21 @@ class TestSimulateGrpoCli:
         assert result.exit_code == 2
         assert "error:" in result.output and "short/0 has 3 candidates" in result.output
 
+    def test_batch_size_zero_exit_2(self, dataset, built_windows, runner, tmp_path):
+        result = invoke(
+            runner,
+            [
+                "simulate-grpo",
+                "--windows", str(built_windows),
+                "--corpus", str(dataset / "corpus.jsonl"),
+                "--out-dir", str(tmp_path / "grpo-zero"),
+                "--batch-size", "0",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: batch_size must be >= 1, got 0" in result.output
+        assert not (tmp_path / "grpo-zero").exists()
+
     def test_empty_windows_file_exit_2(self, dataset, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -785,6 +800,104 @@ def test_bad_config_section_exits_2(config, expected, input_files, runner, tmp_p
     )
     assert result.exit_code == 2, result.output
     assert f"error: {expected}" in result.output
+
+
+def _command_args(command, files, tmp_path, config=None):
+    """``command`` with its _COMMAND_INPUTS arguments and every input file it needs."""
+    extra, names = _COMMAND_INPUTS[command]
+    args = [command, *(arg.format(out=tmp_path) for arg in extra)]
+    for name in names:
+        args += [f"--{name}", str(files[name])]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", str(config_path)]
+    return args
+
+
+@pytest.mark.parametrize("command", ["rerank", "ablate"])
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        ({"engine": {"window_sise": 3}}, "unknown engine config keys: ['window_sise']"),
+        ({"engine": 5}, "config section 'engine' must be a JSON object"),
+    ],
+)
+def test_bad_engine_section_exits_2(command, config, expected, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, _command_args(command, files, tmp_path, config))
+    assert result.exit_code == 2, result.output
+    assert f"error: {expected}" in result.output
+
+
+def _annotated(files, tmp_path):
+    """The windows file with r_bar set, half of the windows hard."""
+    records = [json.loads(line) for line in files["windows"].read_text().splitlines()]
+    path = tmp_path / "annotated.jsonl"
+    write_jsonl([dict(rec, r_bar=float(i % 2)) for i, rec in enumerate(records)], path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args,config,expected",
+    [
+        (["filter", "--strategy", "remove_hard"], {"pipeline": {"hard_threshold": 7}},
+         "hard_threshold must be a number in [0, 1], got 7"),
+        (["filter", "--strategy", "subsample_hard"], {"pipeline": {"subsample_keep": 1.5}},
+         "subsample_keep must be a number in [0, 1], got 1.5"),
+        (["gen-synthetic"], {"synthetic": {"frac_no_positive": -0.2}},
+         "frac_no_positive must be >= 0, got -0.2"),
+        (["gen-synthetic"], {"synthetic": {"pool_size": 0}}, "pool_size must be >= 2, got 0"),
+        (["gen-synthetic"], {"synthetic": {"pool_size": 1}}, "pool_size must be >= 2, got 1"),
+        (["annotate", "--ranker", "noisy"], {"ranker": {"p_flip": "0.3"}},
+         "p_flip must be a number in [0, 1], got '0.3'"),
+    ],
+)
+def test_config_value_out_of_range_exits_2(args, config, expected, input_files, runner, tmp_path):
+    files, _ = input_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    inputs = {
+        "filter": ["--windows", str(_annotated(files, tmp_path)), "--out", str(tmp_path / "f.jsonl")],
+        "gen-synthetic": ["--out-dir", str(tmp_path / "g"), "--n-jobs", "20", "--n-background", "100"],
+        "annotate": ["--windows", str(files["windows"]), "--corpus", str(files["corpus"]),
+                     "--labels", str(files["labels"]), "--out", str(tmp_path / "a.jsonl")],
+    }[args[0]]
+    result = invoke(runner, [*args, *inputs, "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {expected}" in result.output
+    assert {p.name for p in tmp_path.iterdir()} <= {"annotated.jsonl", "config.json"}  # no output written
+
+
+@pytest.mark.parametrize("missing", ["candidate", "job"])
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("annotate", []),
+        ("distill", []),
+        ("filter", []),
+        ("simulate-grpo", ["--features", "match"]),
+        ("simulate-grpo", ["--features", "noise"]),
+    ],
+)
+def test_window_naming_a_missing_document_exits_2(command, extra, missing, input_files, runner, tmp_path):
+    files, _ = input_files
+    records = [json.loads(line) for line in files["windows"].read_text().splitlines()]
+    bad = dict(records[0])
+    if missing == "job":
+        bad["job_id"], ghost = "j-ghost", "j-ghost"
+    else:
+        ghost = "r-ghost"
+        negative = next(c for c in bad["candidates"] if c != bad["gold"])
+        bad["candidates"] = [ghost if c == negative else c for c in bad["candidates"]]
+    windows = tmp_path / "bad-windows.jsonl"
+    write_jsonl([bad, *records[1:]], windows)
+    # nothing listens on the discard port; the judge is never called
+    endpoint = {"base_url": "http://127.0.0.1:9", "model": "m", "retry_backoff_s": 0}
+    args = _command_args(command, {**files, "windows": windows}, tmp_path, {"ranker": {"endpoint": endpoint}})
+    result = invoke(runner, [*args, *extra])
+    assert result.exit_code == 2, result.output
+    assert f"error: line 1: window {bad['window_id']}: document {ghost!r} missing from corpus" in result.output
 
 
 @pytest.mark.parametrize("content", ["{", "[]"])

@@ -74,17 +74,6 @@ class TestLoadCorpus:
             load_corpus(path)
         assert exc_info.value.line == 1
 
-    def test_kind_filter(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        _write_lines(
-            path,
-            [
-                json.dumps({"id": "r1", "kind": "resume", "fields": []}),
-                json.dumps({"id": "j1", "kind": "job", "fields": []}),
-            ],
-        )
-        assert set(load_corpus(path, kind="job")) == {"j1"}
-
     def test_roundtrip(self, tmp_path):
         docs = [
             Document(id="r1", kind="resume", fields=(("a", "x"), ("b", "y"))),
@@ -130,10 +119,6 @@ class TestTokenEstimate:
 
     def test_empty(self):
         assert estimate_tokens("") == 0
-
-    def test_document_property(self):
-        doc = Document(id="r", kind="resume", fields=(("title", "Engineer"),))
-        assert doc.token_estimate == estimate_tokens(render_document(doc))
 
 
 class TestLabels:

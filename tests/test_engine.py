@@ -97,7 +97,6 @@ class TestRerankPool:
         pool = make_pool(accepted_ranks=(5,))
         cfg = EngineConfig(iterations=2)
         trace = rerank_pool(pool, oracle_for([pool]), cfg, corpus_for(pool))
-        assert trace.windows_per_pass == 9
         assert len(trace.calls) == 18
         assert trace.degraded_calls == 0
         assert sorted(trace.final) == sorted(trace.initial)

@@ -340,6 +340,10 @@ class TestGrpoStep:
         _, grad, _ = surrogate_grad(policy, ref, window, group, cfg)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+            GrpoConfig(batch_size=0)
+
     def test_empty_batch_rejected(self):
         policy = onehot_policy()
         with pytest.raises(ConfigError):

@@ -211,8 +211,9 @@ class TestReferenceRankers:
             assert a(req).ordering == b(req).ordering
 
     def test_noisy_bad_p_flip(self):
-        with pytest.raises(ConfigError):
-            NoisyOracleRanker({}, p_flip=1.5)
+        for p_flip in (1.5, -0.1, float("nan"), "0.3", True, None):
+            with pytest.raises(ConfigError, match="p_flip must be a number in"):
+                NoisyOracleRanker({}, p_flip=p_flip)
 
 
 class FakeResponse:

@@ -73,6 +73,11 @@ class TestGenerate:
             SyntheticConfig(n_jobs=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(n_background=5)
+        for pool_size in (0, 1):  # a short pool would hold no candidate
+            with pytest.raises(ConfigError, match="pool_size must be >= 2"):
+                SyntheticConfig(pool_size=pool_size)
+        with pytest.raises(ConfigError, match="frac_short_pool must be >= 0"):
+            SyntheticConfig(frac_short_pool=-0.1)
 
 
 class TestLoopReference:
@@ -143,6 +148,10 @@ class TestEvalPools:
             assert all(cid in docs for cid in pool.candidates)
             assert pool.job_id in docs
         assert len(set(ranks)) > 5  # positives spread over depths
+
+    def test_positive_ranks_pinned(self):
+        ranks = [pool.relevance().index(1) for pool in make_eval_pools(8, seed=4, pool_size=50)[1]]
+        assert ranks == [0, 18, 8, 43, 16, 15, 30, 28]
 
     def test_deterministic(self):
         a = make_eval_pools(5, seed=3)

@@ -235,6 +235,11 @@ class TestApplyStrategy:
         easy = [make_window(window_id=f"j1/e{i}", r_bar=0.8, gold_slot=3) for i in range(4)]
         return hard + easy
 
+    def test_thresholds_outside_unit_interval_rejected(self):
+        for key, value in (("hard_threshold", 7), ("hard_threshold", -0.1), ("subsample_keep", 1.5), ("subsample_keep", "0.5")):
+            with pytest.raises(ConfigError, match=f"{key} must be a number in"):
+                PipelineConfig(**{key: value})
+
     def test_all_is_identity(self, rng):
         windows = self._windows()
         assert apply_strategy(windows, "all", rng) == windows
@@ -353,6 +358,37 @@ class TestLlmJudge:
         kept = apply_strategy(windows, "llm_filter", rng, judge=judge)
         assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
         assert judge.failed == ["j1/w1", "j1/w4"]
+
+    def test_prompts_are_pinned(self):
+        """sha256 of the judge's and the teacher's prompt strings for a hinted window, as the toolkit wrote them."""
+        import hashlib
+
+        from rankfit.ranker import SamplingParams, build_judge_prompt, build_prompt
+        from rankfit.windows import make_llm_judge, window_request
+
+        window = make_window(window_id="j7/w3", job_id="j7", gold_slot=3, hint="The accepted candidate is [3]")
+        corpus = corpus_for_windows([window])
+        seen = []
+
+        class CapturingClient:
+            def complete(self, system, user, sampling, parse):
+                seen.append((system, user, sampling))
+                return "", parse("<answer> yes </answer>"), 0
+
+        assert make_llm_judge(CapturingClient(), corpus)(window) is True
+        system, user, sampling = seen[0]
+        assert sampling == SamplingParams()
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(system) == "c949b8fd6409dcf239864177c8d8fd900531f272427e927f45037d90749dda29"
+        assert digest(user) == "46f832e4934c074374af53ac8e052540deebd07da36adeae7b62bb3488858a81"
+        req = window_request(window, corpus, "judge", SamplingParams())
+        assert build_judge_prompt(req, window.gold_slot()) == (system, user)
+        system, user = build_prompt(window_request(window, corpus, "teacher", SamplingParams()))
+        assert digest(system) == "4ecdb97b555edffe4e591bad67ccf1d215312c2a33d7a4b28208ab41bb39c33c"
+        assert digest(user) == "2ca5074f360b98c78bb9f18f8299aac2b72bcc42dd7180c9fdcbd77c407dc687"
 
 
 class TestDistill:
