@@ -34,6 +34,7 @@ from .core import (
 from .engine import EngineConfig, ablate, rerank_pools, score_run
 from .errors import ConfigError, MalformedRecord, RankfitError
 from .grpo import (
+    REWARD_MODES,
     GrpoConfig,
     evaluate_mean_reward,
     make_policy,
@@ -66,22 +67,25 @@ from .windows import (
 
 BUILTIN_RANKERS = ("oracle", "identity", "noisy", "endpoint")
 DEFAULT_ABLATION_GRID = "2:1,3:1,3:2,4:1,4:2,4:3"
+DEFAULT_P_FLIP = 0.3
+CONFIG_SECTIONS = ("synthetic", "pipeline", "engine", "ranker")
 
 
 def _command(fn):
     """Add --seed and --config; map toolkit errors to exit 2 and degraded runs to exit 1.
 
-    The command receives the loaded ``config`` dict and the ``seed``
-    resolved as flag > config ``seed`` > 0.
+    The command receives the loaded ``config`` dict, whose top-level keys are
+    CONFIG_SECTIONS and whose ``ranker`` section holds only ``endpoint``.
     """
 
-    @click.option("--seed", type=int, default=None)
+    @click.option("--seed", type=int, default=0)
     @click.option("--config", "config_path", type=click.Path(), default=None)
     @functools.wraps(fn)
-    def wrapper(*args, seed, config_path, **kwargs):
+    def wrapper(*args, config_path, **kwargs):
         try:
-            config = _load_object(config_path)
-            code = fn(*args, config=config, seed=_resolve(seed, config, "seed", default=0), **kwargs)
+            config = _section({"top-level": _load_object(config_path)}, "top-level", CONFIG_SECTIONS)
+            _section(config, "ranker", ("endpoint",))
+            code = fn(*args, config=config, **kwargs)
         except RankfitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -105,24 +109,8 @@ def _load_object(path: str | Path | None, what: str = "config file") -> dict:
     return cfg
 
 
-def _resolve(flag_value, config: dict, *keys, default=None):
-    """Precedence: explicit flag > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
-
-
-def _input(flag: str | None, name: str, config: dict | None = None) -> Path:
-    """The input file ``name``: the flag, else config ``paths.<name>``, else an error.
-
-    Without ``config`` only the flag counts. The file must exist.
-    """
-    path = _resolve(flag, config or {}, "paths", name)
+def _input(path: str | None, name: str) -> Path:
+    """The input file ``name`` given by its flag; it must exist."""
     if not path:
         raise ConfigError(f"missing required path for {name}")
     if not Path(path).exists():
@@ -130,18 +118,24 @@ def _input(flag: str | None, name: str, config: dict | None = None) -> Path:
     return Path(path)
 
 
-def _settings(cls, config: dict, name: str, **flags):
-    """Dataclass ``cls`` from config section ``name``: flag > section > field default.
-
-    A flag counts unless it is None. The section must be a JSON object whose
-    keys are fields of ``cls``.
-    """
+def _section(config: dict, name: str, keys) -> dict:
+    """``config[name]`` ({} if absent): a JSON object whose keys are all in ``keys``."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
-    unknown = set(section) - set(cls.__dataclass_fields__)
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    return section
+
+
+def _settings(cls, config: dict, name: str, **flags):
+    """Dataclass ``cls`` from config section ``name``: flag > section > field default.
+
+    A flag counts unless it is None. The section's keys must be fields of
+    ``cls`` other than a seed, which comes from --seed alone.
+    """
+    section = _section(config, name, set(cls.__dataclass_fields__) - {"seed", "rng_seed"})
     return cls(**{**section, **{key: value for key, value in flags.items() if value is not None}})
 
 
@@ -170,7 +164,7 @@ def _write_meta(artifact: Path, effective: dict, seed: int) -> None:
 
 
 def _endpoint_from_config(config: dict) -> EndpointConfig:
-    endpoint = _resolve(None, config, "ranker", "endpoint")
+    endpoint = config.get("ranker", {}).get("endpoint")
     if not isinstance(endpoint, dict) or "base_url" not in endpoint or "model" not in endpoint:
         raise ConfigError(
             "ranker 'endpoint' requires a config file with ranker.endpoint.base_url and .model"
@@ -178,14 +172,11 @@ def _endpoint_from_config(config: dict) -> EndpointConfig:
     return _settings(EndpointConfig, config["ranker"], "endpoint")
 
 
-def _make_ranker(name: str | None, p_flip: float | None, default: str, seed: int, config: dict, labels):
+def _make_ranker(name: str, p_flip: float, seed: int, config: dict, labels):
     """The ranker a command asked for, and its ``{"name", "p_flip"}`` settings.
 
-    Both resolve as flag > config ``ranker.builtin``/``ranker.p_flip`` >
-    default. Only the oracle rankers call ``labels()`` for the label list.
+    Only the oracle rankers call ``labels()`` for the label list.
     """
-    name = _resolve(name, config, "ranker", "builtin", default=default)
-    p_flip = _resolve(p_flip, config, "ranker", "p_flip", default=0.3)
     settings = {"name": name, "p_flip": p_flip}
     if name == "oracle":
         return OracleRanker(accepted_by_job(labels())), settings
@@ -193,15 +184,13 @@ def _make_ranker(name: str | None, p_flip: float | None, default: str, seed: int
         return IdentityRanker(), settings
     if name == "noisy":
         return NoisyOracleRanker(accepted_by_job(labels()), p_flip=p_flip, seed=seed), settings
-    if name == "endpoint":
-        return LlmRanker(_endpoint_from_config(config)), settings
-    raise ConfigError(f"unknown ranker {name!r}; expected one of {BUILTIN_RANKERS}")
+    return LlmRanker(_endpoint_from_config(config)), settings
 
 
-def _pools(flag: str | None, config: dict, labels, corpus=None):
+def _pools(flag: str | None, labels, corpus=None):
     """Pools with labels joined; with a corpus, every candidate must be one of its resumes."""
     resumes = None if corpus is None else {i for i, d in corpus.items() if d.kind == KIND_RESUME}
-    return load_pools(_input(flag, "pools", config), labels, resume_ids=resumes)
+    return load_pools(_input(flag, "pools"), labels, resume_ids=resumes)
 
 
 def _windows(flag: str | None, corpus=None) -> list[Window]:
@@ -222,8 +211,8 @@ def _windows(flag: str | None, corpus=None) -> list[Window]:
 def _path_options(*names: str):
     """A ``--<name>`` file option per name, passed as ``<name>_path``.
 
-    --out, --windows and --reranked are required; corpus, labels and pools
-    may come from config ``paths`` instead (see ``_input``).
+    --out, --windows and --reranked are required in click; the commands
+    check the others with ``_input``, as a command may not need --labels.
     """
 
     def decorate(fn):
@@ -274,8 +263,8 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
 @_command
 def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, seed):
     """Build 4-candidate training windows from labeled pools."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
-    pools = _pools(pools_path, config, load_labels(_input(labels_path, "labels", config)), corpus)
+    corpus = load_corpus(_input(corpus_path, "corpus"))
+    pools = _pools(pools_path, load_labels(_input(labels_path, "labels")), corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     windows, skips = build_all_windows(pools, cfg)
@@ -302,16 +291,16 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
 
 @main.command("annotate")
 @_path_options("windows", "corpus", "labels", "out")
-@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
-@click.option("--p-flip", type=float, default=None)
+@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
+@click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @click.option("--jobs", type=int, default=1, help="Parallel annotation workers.")
 @_command
 def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    corpus = load_corpus(_input(corpus_path, "corpus"))
     windows = _windows(windows_path, corpus)
     ranker, ranker_cfg = _make_ranker(
-        ranker_name, p_flip, "noisy", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
+        ranker_name, p_flip, seed, config, lambda: load_labels(_input(labels_path, "labels"))
     )
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
@@ -333,7 +322,7 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 @_command
 def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     """Apply a data-filtering strategy to annotated windows."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config)) if strategy == "llm_filter" else None
+    corpus = load_corpus(_input(corpus_path, "corpus")) if strategy == "llm_filter" else None
     windows = _windows(windows_path, corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
@@ -345,7 +334,10 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge)
     out = _out(out_path)
     write_jsonl((w.to_record() for w in kept), out)
-    _write_meta(out, {"strategy": strategy, "hard_threshold": cfg.hard_threshold}, seed)
+    effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
+    if strategy == "subsample_hard":
+        effective["subsample_keep"] = cfg.subsample_keep
+    _write_meta(out, effective, seed)
     failed = f" ({len(judge.failed)} kept after judge failure)" if judge else ""
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
     return 0
@@ -358,8 +350,8 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 
 @main.command("rerank")
 @_path_options("pools", "corpus", "labels", "out")
-@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
-@click.option("--p-flip", type=float, default=None)
+@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="oracle", show_default=True)
+@click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @click.option("-k", "--window-size", "k", type=int, default=None)
 @click.option("-s", "--stride", "s", type=int, default=None)
 @click.option("-t", "--iterations", "t", type=int, default=None)
@@ -369,11 +361,11 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 @_command
 def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, jobs, trace, config, seed):
     """Re-rank every pool with the sliding-window engine."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
-    labels = load_labels(_input(labels_path, "labels", config))
-    pools = _pools(pools_path, config, labels, corpus)
+    corpus = load_corpus(_input(corpus_path, "corpus"))
+    labels = load_labels(_input(labels_path, "labels"))
+    pools = _pools(pools_path, labels, corpus)
     cfg = _settings(EngineConfig, config, "engine", window_size=k, stride=s, iterations=t, pool_size=n)
-    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, "oracle", seed, config, lambda: labels)
+    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
     traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=jobs)
@@ -406,13 +398,15 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
 @_command
 def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, config, seed):
     """Score re-ranked pools against labels: nDCG@k and Recall@k, before and after."""
-    labels = load_labels(_input(labels_path, "labels", config))
-    by_job = {p.job_id: p for p in _pools(pools_path, config, labels)}
+    labels = load_labels(_input(labels_path, "labels"))
+    by_job = {p.job_id: p for p in _pools(pools_path, labels)}
     reranked_path = _input(reranked_path, "reranked")
 
     meta_path = Path(f"{reranked_path}.meta.json")
     meta = _load_object(meta_path, "reranked sidecar") if meta_path.exists() else {}
-    engine_cfg = _resolve(None, meta, "config", "engine", default={})
+    if not isinstance(meta.get("config", {}), dict):
+        raise ConfigError(f"reranked sidecar {meta_path} must hold a JSON object under 'config'")
+    engine_cfg = meta.get("config", {}).get("engine", {})
 
     scored = []
     first_line: dict[str, int] = {}
@@ -470,19 +464,19 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 @_path_options("pools", "corpus", "labels", "out")
 @click.option("--grid", default=DEFAULT_ABLATION_GRID, show_default=True, help="Comma-separated k:s points.")
 @click.option("-t", "--iterations", "t", type=int, default=None)
-@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default=None)
-@click.option("--p-flip", type=float, default=None)
+@click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
+@click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @click.option("--jobs", type=int, default=1)
 @_command
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
     engine = _settings(EngineConfig, config, "engine", iterations=t)
     t, pool_size = engine.iterations, engine.pool_size
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
-    labels = load_labels(_input(labels_path, "labels", config))
-    pools = _pools(pools_path, config, labels, corpus)
+    corpus = load_corpus(_input(corpus_path, "corpus"))
+    labels = load_labels(_input(labels_path, "labels"))
+    pools = _pools(pools_path, labels, corpus)
     pools = [p for p in pools if len(p.candidates) == pool_size and p.accepted_ids]
-    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, "noisy", seed, config, lambda: labels)
+    ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
     rows, rejected = ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=jobs)
@@ -511,15 +505,15 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 
 @main.command("distill")
 @_path_options("windows", "corpus", "labels", "out")
-@click.option("--teacher", "teacher_name", type=click.Choice(BUILTIN_RANKERS), default=None)
-@click.option("--p-flip", type=float, default=None)
+@click.option("--teacher", "teacher_name", type=click.Choice(BUILTIN_RANKERS), default="endpoint", show_default=True)
+@click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @_command
 def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, config, seed):
     """Collect teacher generations whose answer ranks the gold candidate first."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    corpus = load_corpus(_input(corpus_path, "corpus"))
     windows = _windows(windows_path, corpus)
     teacher, teacher_cfg = _make_ranker(
-        teacher_name, p_flip, "endpoint", seed, config, lambda: load_labels(_input(labels_path, "labels", config))
+        teacher_name, p_flip, seed, config, lambda: load_labels(_input(labels_path, "labels"))
     )
 
     records, stats = distill_sft(windows, teacher, corpus)
@@ -536,17 +530,17 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @main.command("simulate-grpo")
 @_path_options("windows", "corpus")
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--reward", type=click.Choice(("rearank", "rankr1")), default="rearank", show_default=True)
+@click.option("--reward", type=click.Choice(REWARD_MODES), default=GrpoConfig.reward, show_default=True)
 @click.option("--features", type=click.Choice(("match", "noise")), default="match", show_default=True)
-@click.option("--group-size", type=int, default=32, show_default=True)
-@click.option("--beta", type=float, default=0.01, show_default=True)
+@click.option("--group-size", type=int, default=GrpoConfig.group_size, show_default=True)
+@click.option("--beta", type=float, default=GrpoConfig.beta, show_default=True)
 @click.option("--learning-rate", type=float, default=4.0, show_default=True, help="Desk-scale override of the recorded 1e-6 default.")
-@click.option("--epochs", type=int, default=2, show_default=True)
-@click.option("--batch-size", type=int, default=16, show_default=True)
+@click.option("--epochs", type=int, default=GrpoConfig.epochs, show_default=True)
+@click.option("--batch-size", type=int, default=GrpoConfig.batch_size, show_default=True)
 @_command
 def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
-    corpus = load_corpus(_input(corpus_path, "corpus", config))
+    corpus = load_corpus(_input(corpus_path, "corpus"))
     windows = _windows(windows_path, corpus)
 
     if features == "match":

@@ -15,7 +15,7 @@ from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .core import Document, RankedPool, parallel_map
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .metrics import ndcg, recall_at_k
 from .ranker import Ranker, RankRequest
 
@@ -28,13 +28,12 @@ class EngineConfig:
     pool_size: int = 20
 
     def __post_init__(self):
-        if not 1 <= self.stride < self.window_size <= self.pool_size:
+        check_fields(self, ("window_size", "stride", "iterations", "pool_size"), int, lambda v: v >= 1, "an integer >= 1")
+        if not self.stride < self.window_size <= self.pool_size:
             raise ConfigError(
                 f"need 1 <= stride < window_size <= pool_size, got "
                 f"s={self.stride}, k={self.window_size}, N={self.pool_size}"
             )
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
 
 
 def window_starts(pool_size: int, window_size: int, stride: int) -> list[int]:

@@ -77,3 +77,16 @@ class NumericalError(RankfitError):
 
 class ConfigError(RankfitError):
     """Invalid configuration, missing paths, or fatal endpoint misconfiguration."""
+
+
+def check_fields(obj, names, kind, ok, rule: str, prefix: str = "") -> None:
+    """Raise ConfigError unless each field ``names`` of ``obj`` is a ``kind`` that passes ``ok``.
+
+    ``float`` also takes an int, and a bool is never a number. The error
+    reads ``<prefix><name> must be <rule>, got <value>``.
+    """
+    kinds = (int, float) if kind is float else kind
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+            raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .core import Document
-from .errors import ConfigError, InvalidOrdering, NumericalError
+from .errors import ConfigError, InvalidOrdering, NumericalError, check_fields
 from .metrics import RewardGroup, group_advantages, ndcg, rankr1_reward, rearank_reward
 from .seeding import child_rng
 from .synthetic import match_score
@@ -78,12 +78,8 @@ class GrpoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.group_size < 1:
-            raise ConfigError("group_size must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+        check_fields(self, ("group_size", "batch_size"), int, lambda v: v >= 1, ">= 1")
+        check_fields(self, ("beta",), float, lambda v: v >= 0, ">= 0")
         if self.reward not in REWARD_MODES:
             raise ConfigError(f"reward must be one of {REWARD_MODES}")
         if self.kl_mode not in KL_MODES:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, TypeVar
 
 from .core import Document, render_document
-from .errors import ConfigError, MalformedAnswer
+from .errors import ConfigError, MalformedAnswer, check_fields
 from .seeding import child_rng
 
 log = logging.getLogger(__name__)
@@ -295,15 +295,9 @@ class EndpointConfig:
             raise ConfigError(
                 f"endpoint base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
             )
-        for key, kind, ok, rule in (
-            ("max_retries", int, lambda v: v >= 1, "an integer >= 1"),
-            ("max_concurrency", int, lambda v: v >= 1, "an integer >= 1"),
-            ("timeout_s", (int, float), lambda v: v > 0, "a number > 0"),
-            ("retry_backoff_s", (int, float), lambda v: v >= 0, "a number >= 0"),
-        ):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ConfigError(f"endpoint {key} must be {rule}, got {value!r}")
+        check_fields(self, ("max_retries", "max_concurrency"), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
+        check_fields(self, ("timeout_s",), float, lambda v: v > 0, "a number > 0", "endpoint ")
+        check_fields(self, ("retry_backoff_s",), float, lambda v: v >= 0, "a number >= 0", "endpoint ")
 
 
 class TransportFailure(Exception):

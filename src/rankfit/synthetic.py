@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, ACCEPTED, UNLABELED, join_labels
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .seeding import child_rng
 
 SKILLS = [
@@ -55,13 +55,12 @@ class SyntheticConfig:
     retrieval_noise: float = 0.08
 
     def __post_init__(self):
-        if self.pool_size < 2:  # a short pool holds pool_size // 2 to pool_size - 1 resumes
-            raise ConfigError(f"pool_size must be >= 2, got {self.pool_size}")
-        if self.n_jobs < 1 or self.n_background < self.pool_size:
-            raise ConfigError("need at least one job and pool_size background resumes")
-        for name in ("frac_no_positive", "frac_many_positives", "frac_short_pool"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self, ("n_jobs",), int, lambda v: v >= 1, "an integer >= 1")
+        # a short pool holds pool_size // 2 to pool_size - 1 resumes
+        check_fields(self, ("pool_size",), int, lambda v: v >= 2, ">= 2")
+        check_fields(self, ("n_background",), int, lambda v: v >= self.pool_size, f"an integer >= pool_size ({self.pool_size})")
+        check_fields(self, ("frac_no_positive", "frac_many_positives", "frac_short_pool"), float, lambda v: v >= 0, ">= 0")
+        check_fields(self, ("retrieval_noise",), float, lambda v: v >= 0, "a number >= 0")
         if self.frac_no_positive + self.frac_many_positives + self.frac_short_pool > 0.9:
             raise ConfigError("archetype fractions leave too few normal jobs")
 

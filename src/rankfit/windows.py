@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .core import ACCEPTED, Document, RankedPool, parallel_map
-from .errors import ConfigError, MissingDifficulty
+from .errors import ConfigError, MissingDifficulty, check_fields
 from .ranker import (
     ANNOTATION_SAMPLING,
     ChatCompletionsClient,
@@ -55,15 +55,11 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        counts = ("window_size", "neg_per_window", "n_rep", "m_max", "min_pool", "annotate_trials")
+        check_fields(self, counts, int, lambda v: v >= 1, "an integer >= 1")
+        check_fields(self, ("hard_threshold", "subsample_keep"), float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
         if self.neg_per_window != self.window_size - 1:
             raise ConfigError("neg_per_window must equal window_size - 1")
-        for name in ("window_size", "neg_per_window", "n_rep", "m_max", "min_pool", "annotate_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("hard_threshold", "subsample_keep"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -785,8 +786,15 @@ def test_missing_input_exits_2_naming_it(command, name, how, input_files, runner
     [
         ({"pipeline": 5}, "config section 'pipeline' must be a JSON object"),
         ({"pipeline": {"n_reps": 2}}, "unknown pipeline config keys: ['n_reps']"),
-        ({"ranker": "oops"}, "ranker 'endpoint' requires a config file with ranker.endpoint.base_url"),
+        ({"ranker": "oops"}, "config section 'ranker' must be a JSON object"),
         ({"ranker": {"endpoint": {"base_url": "x", "model": "m", "retries": 1}}}, "unknown endpoint config keys"),
+        # input files, the seed and the ranker are set by their flags alone
+        ({"paths": {"corpus": "corpus.jsonl"}}, "unknown top-level config keys: ['paths']"),
+        ({"seed": 3}, "unknown top-level config keys: ['seed']"),
+        ({"engin": {}}, "unknown top-level config keys: ['engin']"),
+        ({"ranker": 5}, "config section 'ranker' must be a JSON object"),
+        ({"ranker": {"builtin": "identity"}}, "unknown ranker config keys: ['builtin']"),
+        ({"ranker": {"p_flip": 0.3}}, "unknown ranker config keys: ['p_flip']"),
     ],
 )
 def test_bad_config_section_exits_2(config, expected, input_files, runner, tmp_path):
@@ -850,7 +858,18 @@ def _annotated(files, tmp_path):
         (["gen-synthetic"], {"synthetic": {"pool_size": 0}}, "pool_size must be >= 2, got 0"),
         (["gen-synthetic"], {"synthetic": {"pool_size": 1}}, "pool_size must be >= 2, got 1"),
         (["annotate", "--ranker", "noisy"], {"ranker": {"p_flip": "0.3"}},
-         "p_flip must be a number in [0, 1], got '0.3'"),
+         "unknown ranker config keys: ['p_flip']"),
+        # seeds come from --seed alone
+        (["gen-synthetic"], {"synthetic": {"seed": 9}}, "unknown synthetic config keys: ['seed']"),
+        (["build-windows"], {"pipeline": {"rng_seed": 9}}, "unknown pipeline config keys: ['rng_seed']"),
+        # values of the wrong type
+        (["rerank"], {"engine": {"window_size": "4"}}, "window_size must be an integer >= 1, got '4'"),
+        (["rerank"], {"engine": {"window_size": 4.5}}, "window_size must be an integer >= 1, got 4.5"),
+        (["build-windows"], {"pipeline": {"n_rep": 2.5}}, "n_rep must be an integer >= 1, got 2.5"),
+        (["build-windows"], {"pipeline": {"n_rep": "3"}}, "n_rep must be an integer >= 1, got '3'"),
+        (["gen-synthetic"], {"synthetic": {"n_jobs": 5.5}}, "n_jobs must be an integer >= 1, got 5.5"),
+        (["gen-synthetic"], {"synthetic": {"n_jobs": "5"}}, "n_jobs must be an integer >= 1, got '5'"),
+        (["gen-synthetic"], {"synthetic": {"retrieval_noise": "x"}}, "retrieval_noise must be a number >= 0, got 'x'"),
     ],
 )
 def test_config_value_out_of_range_exits_2(args, config, expected, input_files, runner, tmp_path):
@@ -859,14 +878,41 @@ def test_config_value_out_of_range_exits_2(args, config, expected, input_files, 
     config_path.write_text(json.dumps(config))
     inputs = {
         "filter": ["--windows", str(_annotated(files, tmp_path)), "--out", str(tmp_path / "f.jsonl")],
-        "gen-synthetic": ["--out-dir", str(tmp_path / "g"), "--n-jobs", "20", "--n-background", "100"],
+        "gen-synthetic": ["--out-dir", str(tmp_path / "g"), "--n-background", "100"],
         "annotate": ["--windows", str(files["windows"]), "--corpus", str(files["corpus"]),
                      "--labels", str(files["labels"]), "--out", str(tmp_path / "a.jsonl")],
+        "rerank": _command_args("rerank", files, tmp_path)[1:],
+        "build-windows": _command_args("build-windows", files, tmp_path)[1:],
     }[args[0]]
     result = invoke(runner, [*args, *inputs, "--config", str(config_path)])
     assert result.exit_code == 2, result.output
     assert f"error: {expected}" in result.output
     assert {p.name for p in tmp_path.iterdir()} <= {"annotated.jsonl", "config.json"}  # no output written
+
+
+def test_filter_meta_records_subsample_keep(input_files, runner, tmp_path):
+    files, _ = input_files
+    annotated = _annotated(files, tmp_path)
+    metas = {}
+    for keep in (0.5, 0.2):
+        config = tmp_path / f"keep-{keep}.json"
+        config.write_text(json.dumps({"pipeline": {"subsample_keep": keep}}))
+        for strategy in ("subsample_hard", "remove_hard"):
+            out = tmp_path / f"{strategy}-{keep}.jsonl"
+            result = invoke(
+                runner,
+                ["filter", "--windows", str(annotated), "--out", str(out), "--strategy", strategy,
+                 "--config", str(config)],
+            )
+            assert result.exit_code == 0, result.output
+            metas[strategy, keep] = json.loads(Path(f"{out}.meta.json").read_text())
+    assert metas["subsample_hard", 0.2]["config"] == {
+        "strategy": "subsample_hard", "hard_threshold": 0.4, "subsample_keep": 0.2
+    }
+    assert metas["subsample_hard", 0.5]["config_hash"] != metas["subsample_hard", 0.2]["config_hash"]
+    # remove_hard does not use the fraction, so its meta leaves it out
+    assert metas["remove_hard", 0.5] == metas["remove_hard", 0.2]
+    assert metas["remove_hard", 0.2]["config"] == {"strategy": "remove_hard", "hard_threshold": 0.4}
 
 
 @pytest.mark.parametrize("missing", ["candidate", "job"])
@@ -900,7 +946,7 @@ def test_window_naming_a_missing_document_exits_2(command, extra, missing, input
     assert f"error: line 1: window {bad['window_id']}: document {ghost!r} missing from corpus" in result.output
 
 
-@pytest.mark.parametrize("content", ["{", "[]"])
+@pytest.mark.parametrize("content", ["{", "[]", '{"config": 5}'])
 def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp_path):
     files, _ = input_files
     reranked = tmp_path / "reranked.jsonl"
