@@ -26,6 +26,7 @@ from .core import (
     load_corpus,
     load_labels,
     load_pools,
+    open_atomic,
     write_corpus,
     write_jsonl,
     write_labels,
@@ -68,14 +69,21 @@ from .windows import (
 BUILTIN_RANKERS = ("oracle", "identity", "noisy", "endpoint")
 DEFAULT_ABLATION_GRID = "2:1,3:1,3:2,4:1,4:2,4:3"
 DEFAULT_P_FLIP = 0.3
-CONFIG_SECTIONS = ("synthetic", "pipeline", "engine", "ranker")
+# Each config file section to the dataclass it builds; ``ranker`` holds sections of its own.
+CONFIG_SECTIONS = {
+    "synthetic": SyntheticConfig,
+    "pipeline": PipelineConfig,
+    "engine": EngineConfig,
+    "ranker": {"endpoint": EndpointConfig},
+}
 
 
 def _command(fn):
     """Add --seed and --config; map toolkit errors to exit 2 and degraded runs to exit 1.
 
-    The command receives the loaded ``config`` dict, whose top-level keys are
-    CONFIG_SECTIONS and whose ``ranker`` section holds only ``endpoint``.
+    The command receives the loaded ``config`` dict. Its keys and those of
+    every section in it have been checked against CONFIG_SECTIONS, whether
+    or not the command reads that section.
     """
 
     @click.option("--seed", type=int, default=0)
@@ -83,8 +91,8 @@ def _command(fn):
     @functools.wraps(fn)
     def wrapper(*args, config_path, **kwargs):
         try:
-            config = _section({"top-level": _load_object(config_path)}, "top-level", CONFIG_SECTIONS)
-            _section(config, "ranker", ("endpoint",))
+            config = _load_object(config_path)
+            _check_keys(config, "top-level", CONFIG_SECTIONS)
             code = fn(*args, config=config, **kwargs)
         except RankfitError as exc:
             click.echo(f"error: {exc}", err=True)
@@ -118,25 +126,48 @@ def _input(path: str | None, name: str) -> Path:
     return Path(path)
 
 
-def _section(config: dict, name: str, keys) -> dict:
-    """``config[name]`` ({} if absent): a JSON object whose keys are all in ``keys``."""
-    section = config.get(name, {})
+def _check_keys(section, name: str, table) -> None:
+    """``section`` must be a JSON object whose keys ``table`` allows.
+
+    ``table`` maps each key to a table of its own, or is a dataclass whose
+    fields other than a seed (which comes from --seed alone) are the keys.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
+    keys = table if isinstance(table, dict) else set(table.__dataclass_fields__) - {"seed", "rng_seed"}
     unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    return section
+    if isinstance(table, dict):
+        for key, value in section.items():
+            _check_keys(value, key, table[key])
 
 
 def _settings(cls, config: dict, name: str, **flags):
     """Dataclass ``cls`` from config section ``name``: flag > section > field default.
 
-    A flag counts unless it is None. The section's keys must be fields of
-    ``cls`` other than a seed, which comes from --seed alone.
+    A flag counts unless it is None; ``_command`` has checked the section's keys.
     """
-    section = _section(config, name, set(cls.__dataclass_fields__) - {"seed", "rng_seed"})
-    return cls(**{**section, **{key: value for key, value in flags.items() if value is not None}})
+    return cls(**{**config.get(name, {}), **{key: value for key, value in flags.items() if value is not None}})
+
+
+def _workers(jobs: int | None, caller) -> int:
+    """Worker threads for a stage: --jobs if given, else an endpoint's max_concurrency, else 1.
+
+    ``caller`` is the stage's ranker or endpoint client; an endpoint one
+    holds its EndpointConfig as ``cfg``. A built-in ranker's call is
+    CPU-bound under the GIL, so more threads would not help it.
+    """
+    if jobs is not None:
+        return jobs
+    endpoint = getattr(caller, "cfg", None)
+    return endpoint.max_concurrency if isinstance(endpoint, EndpointConfig) else 1
+
+
+_jobs_option = click.option(
+    "--jobs", type=click.IntRange(min=1), default=None,
+    help="Worker threads [default: the endpoint's max_concurrency, else 1].",
+)
 
 
 def _out(path: str) -> Path:
@@ -147,7 +178,7 @@ def _out(path: str) -> Path:
 
 
 def _write_json(path: Path, obj: dict, indent: int | None = 2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
@@ -164,8 +195,8 @@ def _write_meta(artifact: Path, effective: dict, seed: int) -> None:
 
 
 def _endpoint_from_config(config: dict) -> EndpointConfig:
-    endpoint = config.get("ranker", {}).get("endpoint")
-    if not isinstance(endpoint, dict) or "base_url" not in endpoint or "model" not in endpoint:
+    endpoint = config.get("ranker", {}).get("endpoint", {})
+    if "base_url" not in endpoint or "model" not in endpoint:
         raise ConfigError(
             "ranker 'endpoint' requires a config file with ranker.endpoint.base_url and .model"
         )
@@ -293,7 +324,7 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
 @_path_options("windows", "corpus", "labels", "out")
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
-@click.option("--jobs", type=int, default=1, help="Parallel annotation workers.")
+@_jobs_option
 @_command
 def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
@@ -304,7 +335,7 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
     )
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
-    annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=jobs)
+    annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=_workers(jobs, ranker))
     out = _out(out_path)
     write_jsonl((w.to_record() for w in annotated), out)
     _write_meta(out, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
@@ -326,12 +357,13 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     windows = _windows(windows_path, corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
-    judge = None
+    judge, workers = None, 1
     if corpus is not None:
-        judge = make_llm_judge(ChatCompletionsClient(_endpoint_from_config(config)), corpus)
+        client = ChatCompletionsClient(_endpoint_from_config(config))
+        judge, workers = make_llm_judge(client, corpus), _workers(None, client)
 
     rng = child_rng(seed, f"filter:{strategy}")
-    kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge)
+    kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge, max_workers=workers)
     out = _out(out_path)
     write_jsonl((w.to_record() for w in kept), out)
     effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
@@ -356,7 +388,7 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 @click.option("-s", "--stride", "s", type=int, default=None)
 @click.option("-t", "--iterations", "t", type=int, default=None)
 @click.option("-N", "--pool-size", "n", type=int, default=None)
-@click.option("--jobs", type=int, default=1, help="Parallel jobs across pools.")
+@_jobs_option
 @click.option("--trace", is_flag=True, default=False, help="Write a per-call trace file.")
 @_command
 def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, jobs, trace, config, seed):
@@ -368,7 +400,7 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
-    traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=jobs)
+    traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=_workers(jobs, ranker))
 
     out = _out(out_path)
     write_jsonl(
@@ -466,7 +498,7 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 @click.option("-t", "--iterations", "t", type=int, default=None)
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
-@click.option("--jobs", type=int, default=1)
+@_jobs_option
 @_command
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
@@ -479,7 +511,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
-    rows, rejected = ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=jobs)
+    rows, rejected = ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=_workers(jobs, ranker))
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
@@ -516,7 +548,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
         teacher_name, p_flip, seed, config, lambda: load_labels(_input(labels_path, "labels"))
     )
 
-    records, stats = distill_sft(windows, teacher, corpus)
+    records, stats = distill_sft(windows, teacher, corpus, max_workers=_workers(None, teacher))
     out = _out(out_path)
     write_jsonl(records, out)
     _write_meta(out, {"teacher": teacher_cfg}, seed)

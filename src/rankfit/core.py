@@ -13,11 +13,13 @@ Corpora and pools are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import json
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import (
     DuplicateId,
@@ -128,8 +130,28 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, rec
 
 
+@contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file to write ``path`` through: it replaces ``path`` only once the block ends.
+
+    The text goes to a temporary file beside ``path``, which ``os.replace``
+    moves onto it. So a write that fails or is cut short leaves the old
+    ``path`` whole, and a failed write removes its temporary file. The file
+    gets the mode a plain ``open`` would give it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False))
             fh.write("\n")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .core import Document
+from .core import Document, open_atomic
 from .errors import ConfigError, InvalidOrdering, NumericalError, check_fields
 from .metrics import RewardGroup, group_advantages, ndcg, rankr1_reward, rearank_reward
 from .seeding import child_rng
@@ -504,7 +504,7 @@ def make_policy(feature_fn: FeatureFn, feature_names: Sequence[str]) -> PLPolicy
 
 
 def save_policy(policy: PLPolicy, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(
             {"theta": [float(x) for x in policy.theta], "feature_names": policy.feature_names},
             fh,
@@ -513,7 +513,7 @@ def save_policy(policy: PLPolicy, path: str | Path) -> None:
 
 
 def write_curve(curve: Sequence[CurvePoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_reward", "kl", "grad_norm", "eval_ndcg4"])
         for point in curve:

@@ -252,15 +252,14 @@ class NoisyOracleRanker(OracleRanker):
 
     def __init__(self, accepted: Mapping[str, frozenset[str]], p_flip: float, seed: int = 0):
         super().__init__(accepted)
-        if isinstance(p_flip, bool) or not isinstance(p_flip, (int, float)) or not 0 <= p_flip <= 1:
-            raise ConfigError(f"p_flip must be a number in [0, 1], got {p_flip!r}")
-        self._p_flip = p_flip
+        self.p_flip = p_flip
+        check_fields(self, ("p_flip",), float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
         self._seed = seed
 
     def __call__(self, req: RankRequest) -> RankResponse:
         ordering, has_positive = self._oracle_ordering(req)
         rng = child_rng(self._seed, req.request_id)
-        if has_positive and self._p_flip > 0 and rng.random() < self._p_flip:
+        if has_positive and self.p_flip > 0 and rng.random() < self.p_flip:
             j = rng.randrange(1, len(ordering))
             ordering[0], ordering[j] = ordering[j], ordering[0]
         return RankResponse(raw_text=format_answer(ordering), ordering=ordering)
@@ -439,7 +438,7 @@ class LlmRanker:
 
     def __init__(self, cfg: EndpointConfig, post=None):
         self._client = ChatCompletionsClient(cfg, post)
-        self._cfg = cfg
+        self.cfg = cfg
 
     def __call__(self, req: RankRequest) -> RankResponse:
         system, user = build_prompt(req)
@@ -452,7 +451,7 @@ class LlmRanker:
             log.warning(
                 "ranker degraded to identity for request %r after %d attempts: %s",
                 req.request_id,
-                self._cfg.max_retries,
+                self.cfg.max_retries,
                 exc,
             )
             return RankResponse(
@@ -460,7 +459,7 @@ class LlmRanker:
                 ordering=list(range(1, req.k + 1)),
                 repaired=True,
                 latency_ms=(time.perf_counter() - started) * 1000.0,
-                retry_count=self._cfg.max_retries - 1,
+                retry_count=self.cfg.max_retries - 1,
                 degraded=True,
             )
         return RankResponse(

@@ -267,6 +267,7 @@ def apply_strategy(
     rng: random.Random,
     cfg: PipelineConfig | None = None,
     judge: Callable[[Window], bool] | None = None,
+    max_workers: int = 1,
 ) -> list[Window]:
     """Apply one of the data-filtering strategies to annotated windows.
 
@@ -276,7 +277,9 @@ def apply_strategy(
                         fraction of the hard ones (input order preserved).
     * hint_augment   -- keep everything, attaching a gold-position hint to
                         hard windows only.
-    * llm_filter     -- keep windows the judge approves (difficulty not used).
+    * llm_filter     -- keep windows the judge approves (difficulty not used),
+                        judging up to ``max_workers`` windows at a time. A
+                        judge's ``failed`` list is put in input order.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -286,7 +289,11 @@ def apply_strategy(
     if strategy == "llm_filter":
         if judge is None:
             raise ConfigError("llm_filter requires a judge")
-        return [w for w in windows if judge(w)]
+        keep = parallel_map(judge, windows, max_workers)
+        if hasattr(judge, "failed"):  # recorded as the judge's calls finished
+            position = {w.window_id: i for i, w in enumerate(windows)}
+            judge.failed.sort(key=position.__getitem__)
+        return [w for w, kept in zip(windows, keep) if kept]
 
     for w in windows:
         if w.r_bar is None:
@@ -347,18 +354,21 @@ def distill_sft(
     windows: Sequence[Window],
     teacher: Ranker,
     corpus: Mapping[str, Document],
+    max_workers: int = 1,
 ) -> tuple[list[dict], DistillStats]:
     """Collect teacher generations that place the gold candidate first.
 
     Each kept record stores the full prompt and the teacher's verbatim output;
     generations whose parsed answer does not put the gold on top are dropped,
-    and unusable (degraded) teacher outputs are dropped and counted.
+    and unusable (degraded) teacher outputs are dropped and counted. The
+    teacher answers up to ``max_workers`` windows at a time; records and
+    counts follow input order.
     """
+    requests = [window_request(w, corpus, "teacher", SamplingParams()) for w in windows]
+    responses = parallel_map(teacher, requests, max_workers)
     records: list[dict] = []
     stats = DistillStats()
-    for window in windows:
-        req = window_request(window, corpus, "teacher", SamplingParams())
-        resp = teacher(req)
+    for window, req, resp in zip(windows, requests, responses):
         if resp.degraded:
             stats.dropped_malformed += 1
             continue

@@ -838,6 +838,35 @@ def test_bad_engine_section_exits_2(command, config, expected, input_files, runn
     assert f"error: {expected}" in result.output
 
 
+@pytest.mark.parametrize(
+    "command,config,expected",
+    [
+        # sections the command does not read are checked all the same
+        ("build-windows", {"synthetic": {"sed": 1}, "engine": {"window_sise": 3}},
+         ("unknown synthetic config keys: ['sed']", "unknown engine config keys: ['window_sise']")),
+        ("rerank", {"ranker": {"endpoint": {"base_url": "x", "modl": "m"}}},
+         ("unknown endpoint config keys: ['modl']",)),
+        ("distill", {"ranker": {"endpoint": 5}}, ("config section 'endpoint' must be a JSON object",)),
+        ("annotate", {"engine": {"pool_sise": 20}}, ("unknown engine config keys: ['pool_sise']",)),
+    ],
+)
+def test_unused_config_section_is_key_checked(command, config, expected, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, _command_args(command, files, tmp_path, config))
+    assert result.exit_code == 2, result.output
+    assert any(f"error: {message}" in result.output for message in expected), result.output
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["annotate", "rerank", "ablate"])
+def test_jobs_below_one_exits_2(command, jobs, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args(command, files, tmp_path), "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--jobs'" in result.output
+    assert not list(tmp_path.glob("*.json*"))  # no output written
+
+
 def _annotated(files, tmp_path):
     """The windows file with r_bar set, half of the windows hard."""
     records = [json.loads(line) for line in files["windows"].read_text().splitlines()]

@@ -14,6 +14,7 @@ from rankfit.core import (
     load_corpus,
     load_labels,
     load_pools,
+    open_atomic,
     parallel_map,
     render_document,
     write_corpus,
@@ -255,3 +256,48 @@ class TestParallelMap:
 
         with pytest.raises(ValueError, match="item 1"):
             parallel_map(fn, [0, 1, 2, 3], workers)
+
+
+
+def _failing_writes():
+    """(name, a write of ``path`` that fails part-way, its error) for every artifact writer."""
+    from types import SimpleNamespace
+
+    from rankfit.cli import _write_json
+    from rankfit.grpo import CurvePoint, save_policy, write_curve
+
+    def records():
+        yield from ({"i": i} for i in range(50))
+        raise RuntimeError("cut short")
+
+    curve = [CurvePoint(1, 0.5, 0.0, 0.1, 0.6), SimpleNamespace(step=2)]
+    return [
+        ("write_jsonl", lambda path: write_jsonl(records(), path), RuntimeError),
+        ("cli._write_json", lambda path: _write_json(path, {"a": 1, "b": object()}), TypeError),
+        ("grpo.save_policy", lambda path: save_policy(SimpleNamespace(theta=[1.0, "x"], feature_names=["f0", "f1"]), path), ValueError),
+        ("grpo.write_curve", lambda path: write_curve(curve, path), AttributeError),
+    ]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", [name for name, _, _ in _failing_writes()])
+    def test_failed_write_leaves_old_artifact_and_no_temporary_file(self, name, tmp_path):
+        write, error = next((w, e) for n, w, e in _failing_writes() if n == name)
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old artifact\n")
+        with pytest.raises(error):
+            write(target)
+        assert target.read_bytes() == b"old artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_replaces_the_target_with_the_mode_a_plain_open_gives(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("x")
+        target = tmp_path / "artifact"
+        target.write_text("old")
+        target.chmod(0o600)
+        with open_atomic(target) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n"
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "plain"]

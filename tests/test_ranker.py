@@ -1,3 +1,4 @@
+import hashlib
 import http.client
 import itertools
 import json
@@ -13,10 +14,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfit.cli import main
+from rankfit.cli import _workers, main
+from rankfit.core import write_corpus, write_jsonl
 from rankfit.errors import ConfigError, MalformedAnswer
 from rankfit.ranker import (
     ANNOTATION_SAMPLING,
+    JUDGE_QUESTION,
     ChatCompletionsClient,
     EndpointConfig,
     IdentityRanker,
@@ -31,8 +34,9 @@ from rankfit.ranker import (
     parse_answer,
     parse_judge_answer,
 )
+from rankfit.windows import apply_strategy, distill_sft, make_llm_judge, window_request
 
-from conftest import ChatHandler, make_job, make_resume, run_rankfit
+from conftest import ChatHandler, corpus_for_windows, make_job, make_resume, make_window, run_rankfit
 
 
 def make_request(k=4, job_id="j1", hint=None, request_id="req"):
@@ -510,21 +514,31 @@ class TestLlmRankerOverHttp:
         assert outputs[0].count(b"\n") >= 4  # enough pools to keep four workers busy
 
 
-_OK_BODY = json.dumps({"choices": [{"message": {"content": "<answer> [1] > [2] > [3] > [4] </answer>"}}]}).encode()
+def _hash_answer(user: str) -> str:
+    """One fixed answer per user prompt, from its sha256.
+
+    A judge prompt gets yes, no or an unusable verdict, a third of the time
+    each; any other prompt gets a ranking of slots 1-4.
+    """
+    digest = hashlib.sha256(user.encode()).digest()
+    if JUDGE_QUESTION in user:
+        return ("<answer> yes </answer>", "<answer> no </answer>", "<answer> maybe </answer>")[digest[0] % 3]
+    return format_answer(sorted(range(1, 5), key=lambda slot: (digest[slot], slot)))
 
 
 class _FaultHandler(BaseHTTPRequestHandler):
     """Replies to the n-th request as ``server.script[n]`` says; the last entry repeats.
 
-    "ok" answers; "hold" answers after 50 ms; "short" sends a body 50 bytes
-    short of its Content-Length; "close" and "hang" close without a reply,
-    "hang" only once ``server.release`` is set; ``(status, headers)`` sends
-    that status. ``server.peak`` is the most requests in progress at once.
+    "ok" answers ``server.answer(user prompt)``; "hold" answers the same
+    after 50 ms; "short" sends a body 50 bytes short of its Content-Length;
+    "close" and "hang" close without a reply, "hang" only once
+    ``server.release`` is set; ``(status, headers)`` sends that status.
+    ``server.peak`` is the most requests in progress at once.
     """
 
     def do_POST(self):
         server = self.server
-        self.rfile.read(int(self.headers["Content-Length"]))
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with server.lock:
             fault = server.script[min(server.hits, len(server.script) - 1)]
             server.hits += 1
@@ -539,7 +553,8 @@ class _FaultHandler(BaseHTTPRequestHandler):
         if fault in ("hang", "close"):
             return
         status, headers = fault if isinstance(fault, tuple) else (200, {})
-        body = _OK_BODY if status == 200 else b"{}"
+        content = server.answer(request["messages"][1]["content"])
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode() if status == 200 else b"{}"
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -555,6 +570,7 @@ class _FaultHandler(BaseHTTPRequestHandler):
 def fault_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultHandler)
     server.script, server.hits, server.open, server.peak = ["ok"], 0, 0, 0
+    server.answer = lambda user: "<answer> [1] > [2] > [3] > [4] </answer>"
     server.lock, server.release = threading.Lock(), threading.Event()
     server.url = f"http://127.0.0.1:{server.server_port}"
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
@@ -621,3 +637,110 @@ class TestTransportFaults:
             replies = list(pool.map(lambda _: client.complete_once("s", "u", SamplingParams()), range(24)))
         assert len(replies) == fault_server.hits == 24
         assert fault_server.peak == 2
+
+
+class TestEndpointFanOut:
+    """distill, the llm_filter judge and annotate keep max_concurrency requests in flight.
+
+    The server holds each request 50 ms and answers from a hash of the
+    prompt, so a run's results do not depend on the order calls finish in.
+    """
+
+    N_WINDOWS = 16
+
+    @pytest.fixture
+    def server(self, fault_server):
+        fault_server.script, fault_server.answer = ["hold"], _hash_answer
+        return fault_server
+
+    @pytest.fixture
+    def windows(self):
+        return [make_window(window_id=f"j1/w{i}", gold_slot=i % 4 + 1) for i in range(self.N_WINDOWS)]
+
+    def _cfg(self, server, max_concurrency):
+        return endpoint_cfg(base_url=server.url, timeout_s=5, max_retries=2, max_concurrency=max_concurrency)
+
+    def _judge_verdicts(self, windows, corpus):
+        """Each window's judge answer from the hash rule, worked out without the judge."""
+        from rankfit.ranker import build_judge_prompt
+
+        return [
+            _hash_answer(build_judge_prompt(window_request(w, corpus, "judge", SamplingParams()), w.gold_slot())[1])
+            for w in windows
+        ]
+
+    def test_distill_fills_max_concurrency_with_serial_results(self, server, windows):
+        corpus = corpus_for_windows(windows)
+        runs = {}
+        for workers in (1, 4):
+            server.peak = 0
+            records, stats = distill_sft(windows, LlmRanker(self._cfg(server, workers)), corpus, max_workers=workers)
+            runs[workers] = (records, stats, server.peak)
+        assert (runs[1][2], runs[4][2]) == (1, 4)
+        assert runs[4][:2] == runs[1][:2]
+        records, stats, _ = runs[4]
+        assert 0 < stats.kept < len(windows) and stats.dropped_malformed == 0
+        assert stats.kept + stats.dropped_wrong_top == len(windows)
+        assert [r["window_id"] for r in records] == [
+            w.window_id for w in windows if _hash_answer(build_prompt(window_request(
+                w, corpus, "teacher", SamplingParams()))[1]).startswith(f"<answer> [{w.gold_slot()}]")
+        ]
+
+    def test_judge_fills_max_concurrency_and_lists_failures_in_input_order(self, server, windows, rng):
+        corpus = corpus_for_windows(windows)
+        verdicts = self._judge_verdicts(windows, corpus)
+        failed = [w.window_id for w, v in zip(windows, verdicts) if "maybe" in v]
+        kept = [w.window_id for w, v in zip(windows, verdicts) if "no" not in v]
+        assert len(failed) >= 2 and len(kept) < len(windows)
+        for workers in (1, 4):
+            server.peak, server.hits = 0, 0
+            judge = make_llm_judge(ChatCompletionsClient(self._cfg(server, workers)), corpus)
+            result = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=workers)
+            assert server.peak == workers
+            assert [w.window_id for w in result] == kept
+            assert judge.failed == failed
+            assert server.hits == len(windows) + len(failed)  # one retry per unusable verdict
+
+    def _cli_inputs(self, server, windows, tmp_path, max_concurrency):
+        corpus_path, windows_path = tmp_path / "corpus.jsonl", tmp_path / "windows.jsonl"
+        write_corpus(corpus_for_windows(windows).values(), corpus_path)
+        write_jsonl((w.to_record() for w in windows), windows_path)
+        config = tmp_path / f"endpoint-{max_concurrency}.json"
+        endpoint = {"base_url": server.url, "model": "m", "timeout_s": 5, "max_retries": 2,
+                    "retry_backoff_s": 0.0, "max_concurrency": max_concurrency}
+        config.write_text(json.dumps({"ranker": {"endpoint": endpoint}, "pipeline": {"annotate_trials": 1}}))
+        return ["--windows", str(windows_path), "--corpus", str(corpus_path), "--config", str(config)]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["distill", "--teacher", "endpoint"], ["filter", "--strategy", "llm_filter"], ["annotate", "--ranker", "endpoint"]],
+    )
+    def test_cli_stage_runs_max_concurrency_calls_and_writes_the_same_bytes(self, command, server, windows, tmp_path):
+        outputs = []
+        # annotate keeps --jobs, which wins over max_concurrency
+        runs = [(1, []), (4, [])] + ([(4, ["--jobs", "2"])] if command[0] == "annotate" else [])
+        for max_concurrency, jobs in runs:
+            server.peak = 0
+            out = tmp_path / f"mc{max_concurrency}{''.join(jobs)}" / "out.jsonl"
+            args = [*command, *self._cli_inputs(server, windows, tmp_path, max_concurrency), "--out", str(out), *jobs]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert server.peak == (int(jobs[1]) if jobs else max_concurrency)
+            outputs.append((out.read_bytes(), (out.parent / "out.jsonl.meta.json").read_bytes(), result.output))
+        assert all(output == outputs[0] for output in outputs)
+        if command[0] == "filter":
+            corpus = corpus_for_windows(windows)
+            verdicts = self._judge_verdicts(windows, corpus)
+            kept, failed = sum("no" not in v for v in verdicts), sum("maybe" in v for v in verdicts)
+            assert f"kept {kept}/{len(windows)} windows under strategy llm_filter ({failed} kept after judge failure)" in outputs[0][2]
+
+
+def test_worker_rule():
+    """--jobs wins; else an endpoint ranker or client gets max_concurrency and a built-in ranker one worker."""
+    cfg = endpoint_cfg(max_concurrency=3)
+    assert _workers(None, LlmRanker(cfg)) == 3
+    assert _workers(None, ChatCompletionsClient(cfg)) == 3
+    assert _workers(2, LlmRanker(cfg)) == 2
+    for ranker in (OracleRanker({}), NoisyOracleRanker({}, p_flip=0.3), IdentityRanker()):
+        assert _workers(None, ranker) == 1
+        assert _workers(5, ranker) == 5

@@ -359,6 +359,55 @@ class TestLlmJudge:
         assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
         assert judge.failed == ["j1/w1", "j1/w4"]
 
+    def test_failures_judged_in_parallel_are_listed_in_input_order(self, rng):
+        """The first failing window fails last; ``failed`` still follows the input."""
+        import time
+
+        from rankfit.ranker import TransportFailure
+        from rankfit.windows import make_llm_judge
+
+        windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(6)]
+        delays = {"j1/w1": 0.3, "j1/w4": 0.0}
+
+        class SlowFailingClient:
+            def complete(self, system, user, sampling, parse):
+                for window_id, delay in delays.items():
+                    if f"Engineer {window_id}-gold" in user:
+                        time.sleep(delay)
+                        raise TransportFailure("down")
+                return "", parse("<answer> no </answer>"), 0
+
+        judge = make_llm_judge(SlowFailingClient(), corpus_for_windows(windows))
+        kept = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=4)
+        assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
+        assert judge.failed == ["j1/w1", "j1/w4"]
+
+    def test_many_threads_lose_no_failure(self, rng):
+        """Eight threads, with a short switch interval, record every failure once, in input order."""
+        import sys
+
+        from rankfit.ranker import TransportFailure
+        from rankfit.windows import make_llm_judge
+
+        windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(200)]
+
+        class EveryThirdFails:
+            def complete(self, system, user, sampling, parse):
+                if int(user.split("Engineer j1/w")[1].split("-")[0]) % 3 == 0:
+                    raise TransportFailure("down")
+                return "", parse("<answer> no </answer>"), 0
+
+        judge = make_llm_judge(EveryThirdFails(), corpus_for_windows(windows))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            kept = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [f"j1/w{i}" for i in range(0, 200, 3)]
+        assert [w.window_id for w in kept] == expected
+        assert judge.failed == expected
+
     def test_prompts_are_pinned(self):
         """sha256 of the judge's and the teacher's prompt strings for a hinted window, as the toolkit wrote them."""
         import hashlib
