@@ -78,28 +78,38 @@ CONFIG_SECTIONS = {
 }
 
 
-def _command(fn):
-    """Add --seed and --config; map toolkit errors to exit 2 and degraded runs to exit 1.
+def _command(*paths: str):
+    """Add a ``--<name>`` file option per path, --seed and --config; map toolkit errors to exit 2.
 
-    The command receives the loaded ``config`` dict. Its keys and those of
-    every section in it have been checked against CONFIG_SECTIONS, whether
-    or not the command reads that section.
+    A degraded run's exit code 1 passes through. A file option reaches the
+    command as ``<name>_path``; --out, --windows and --reranked are required
+    in click, and the commands check the others with ``_input``, as a
+    command may not need --labels. The command receives the loaded
+    ``config`` dict, whose keys and those of every section in it have been
+    checked against CONFIG_SECTIONS, whether or not the command reads that
+    section.
     """
 
-    @click.option("--seed", type=int, default=0)
-    @click.option("--config", "config_path", type=click.Path(), default=None)
-    @functools.wraps(fn)
-    def wrapper(*args, config_path, **kwargs):
-        try:
-            config = _load_object(config_path)
-            _check_keys(config, "top-level", CONFIG_SECTIONS)
-            code = fn(*args, config=config, **kwargs)
-        except RankfitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        sys.exit(code or 0)
+    def decorate(fn):
+        @click.option("--seed", type=int, default=0)
+        @click.option("--config", "config_path", type=click.Path(), default=None)
+        @functools.wraps(fn)
+        def wrapper(*args, config_path, **kwargs):
+            try:
+                config = _load_object(config_path)
+                _check_keys(config, "top-level", CONFIG_SECTIONS)
+                code = fn(*args, config=config, **kwargs)
+            except RankfitError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            sys.exit(code or 0)
 
-    return wrapper
+        for name in reversed(paths):
+            required = name in ("out", "windows", "reranked")
+            wrapper = click.option(f"--{name}", f"{name}_path", type=click.Path(), required=required)(wrapper)
+        return wrapper
+
+    return decorate
 
 
 def _load_object(path: str | Path | None, what: str = "config file") -> dict:
@@ -170,13 +180,6 @@ _jobs_option = click.option(
 )
 
 
-def _out(path: str) -> Path:
-    """An output path whose parent directory exists."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj: dict, indent: int | None = 2) -> None:
     with open_atomic(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=indent)
@@ -239,22 +242,6 @@ def _windows(flag: str | None, corpus=None) -> list[Window]:
     return windows
 
 
-def _path_options(*names: str):
-    """A ``--<name>`` file option per name, passed as ``<name>_path``.
-
-    --out, --windows and --reranked are required in click; the commands
-    check the others with ``_input``, as a command may not need --labels.
-    """
-
-    def decorate(fn):
-        for name in reversed(names):
-            required = name in ("out", "windows", "reranked")
-            fn = click.option(f"--{name}", f"{name}_path", type=click.Path(), required=required)(fn)
-        return fn
-
-    return decorate
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -270,14 +257,13 @@ def main():
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--n-jobs", type=int, default=None, help="Number of job posts.")
 @click.option("--n-background", type=int, default=None, help="Background resume count.")
-@_command
+@_command()
 def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     """Generate a synthetic corpus, labels, and retrieval pools."""
     cfg = _settings(SyntheticConfig, config, "synthetic", n_jobs=n_jobs, n_background=n_background, seed=seed)
     documents, labels, pools = generate(cfg)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_corpus(documents.values(), out / "corpus.jsonl")
     write_labels(labels, out / "labels.jsonl")
     write_pools(pools, out / "pools.jsonl")
@@ -290,8 +276,7 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
 
 
 @main.command("build-windows")
-@_path_options("corpus", "labels", "pools", "out")
-@_command
+@_command("corpus", "labels", "pools", "out")
 def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, seed):
     """Build 4-candidate training windows from labeled pools."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
@@ -299,7 +284,7 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     windows, skips = build_all_windows(pools, cfg)
-    out = _out(out_path)
+    out = Path(out_path)
     write_jsonl((w.to_record() for w in windows), out)
 
     effective = {"pipeline": asdict(cfg)}
@@ -321,11 +306,10 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
 
 
 @main.command("annotate")
-@_path_options("windows", "corpus", "labels", "out")
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @_jobs_option
-@_command
+@_command("windows", "corpus", "labels", "out")
 def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
@@ -336,7 +320,7 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=_workers(jobs, ranker))
-    out = _out(out_path)
+    out = Path(out_path)
     write_jsonl((w.to_record() for w in annotated), out)
     _write_meta(out, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
     click.echo(
@@ -347,10 +331,9 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 
 
 @main.command("filter")
-@_path_options("windows", "out")
 @click.option("--strategy", type=click.Choice(STRATEGIES), required=True)
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None, help="Needed for llm_filter.")
-@_command
+@_command("windows", "out")
 def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
     """Apply a data-filtering strategy to annotated windows."""
     corpus = load_corpus(_input(corpus_path, "corpus")) if strategy == "llm_filter" else None
@@ -364,7 +347,7 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 
     rng = child_rng(seed, f"filter:{strategy}")
     kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge, max_workers=workers)
-    out = _out(out_path)
+    out = Path(out_path)
     write_jsonl((w.to_record() for w in kept), out)
     effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
     if strategy == "subsample_hard":
@@ -381,7 +364,6 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 
 
 @main.command("rerank")
-@_path_options("pools", "corpus", "labels", "out")
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="oracle", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @click.option("-k", "--window-size", "k", type=int, default=None)
@@ -390,7 +372,7 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 @click.option("-N", "--pool-size", "n", type=int, default=None)
 @_jobs_option
 @click.option("--trace", is_flag=True, default=False, help="Write a per-call trace file.")
-@_command
+@_command("pools", "corpus", "labels", "out")
 def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, jobs, trace, config, seed):
     """Re-rank every pool with the sliding-window engine."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
@@ -402,7 +384,7 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
     traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=_workers(jobs, ranker))
 
-    out = _out(out_path)
+    out = Path(out_path)
     write_jsonl(
         (
             {"job_id": tr.job_id, "initial": list(tr.initial), "final": list(tr.final),
@@ -425,9 +407,8 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
 
 
 @main.command("evaluate")
-@_path_options("pools", "labels", "reranked", "out")
 @click.option("--metric-k", type=int, default=10, show_default=True)
-@_command
+@_command("pools", "labels", "reranked", "out")
 def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, config, seed):
     """Score re-ranked pools against labels: nDCG@k and Recall@k, before and after."""
     labels = load_labels(_input(labels_path, "labels"))
@@ -452,17 +433,16 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
             )
         first_line[job_id] = lineno
         pool = by_job[job_id]
-        final = rec.get("final", [])
-        if sorted(final) != sorted(pool.candidates):
-            raise MalformedRecord(
-                f"final ordering for job {job_id!r} is not a permutation of its pool",
-                line=lineno,
-            )
-        scored.append((pool, final, rec.get("degraded_calls", 0)))
+        final, degraded = rec.get("final", []), rec.get("degraded_calls", 0)
+        if not isinstance(final, list) or not all(isinstance(c, str) for c in final) or sorted(final) != sorted(pool.candidates):
+            raise MalformedRecord(f"final ordering for job {job_id!r} is not a permutation of its pool", line=lineno)
+        if isinstance(degraded, bool) or not isinstance(degraded, int) or degraded < 0:
+            raise MalformedRecord(f"degraded_calls must be an integer >= 0, got {degraded!r}", line=lineno)
+        scored.append((pool, final, degraded))
 
     effective = {"engine": engine_cfg, "metric_k": metric_k}
     scores = score_run(scored, metric_k)
-    out = _out(out_path)
+    out = Path(out_path)
     _write_json(out, {"config": engine_cfg, **scores, "provenance": _provenance(effective, seed)})
     _write_meta(out, effective, seed)
     macro = scores["macro"]
@@ -493,13 +473,12 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 
 
 @main.command("ablate")
-@_path_options("pools", "corpus", "labels", "out")
 @click.option("--grid", default=DEFAULT_ABLATION_GRID, show_default=True, help="Comma-separated k:s points.")
 @click.option("-t", "--iterations", "t", type=int, default=None)
 @click.option("--ranker", "ranker_name", type=click.Choice(BUILTIN_RANKERS), default="noisy", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
 @_jobs_option
-@_command
+@_command("pools", "corpus", "labels", "out")
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
     engine = _settings(EngineConfig, config, "engine", iterations=t)
@@ -507,7 +486,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     corpus = load_corpus(_input(corpus_path, "corpus"))
     labels = load_labels(_input(labels_path, "labels"))
     pools = _pools(pools_path, labels, corpus)
-    pools = [p for p in pools if len(p.candidates) == pool_size and p.accepted_ids]
+    pools = [p for p in pools if len(p.candidates) == pool_size]
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
@@ -515,7 +494,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
-    out = _out(out_path)
+    out = Path(out_path)
     _write_json(out, {"rows": rows, "rejected": rejected})
     _write_meta(out, {"grid": grid, "iterations": t, "pool_size": pool_size, "ranker": ranker_cfg}, seed)
 
@@ -536,10 +515,9 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 
 
 @main.command("distill")
-@_path_options("windows", "corpus", "labels", "out")
 @click.option("--teacher", "teacher_name", type=click.Choice(BUILTIN_RANKERS), default="endpoint", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
-@_command
+@_command("windows", "corpus", "labels", "out")
 def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, config, seed):
     """Collect teacher generations whose answer ranks the gold candidate first."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
@@ -549,7 +527,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
     )
 
     records, stats = distill_sft(windows, teacher, corpus, max_workers=_workers(None, teacher))
-    out = _out(out_path)
+    out = Path(out_path)
     write_jsonl(records, out)
     _write_meta(out, {"teacher": teacher_cfg}, seed)
     click.echo(
@@ -560,7 +538,6 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 
 
 @main.command("simulate-grpo")
-@_path_options("windows", "corpus")
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--reward", type=click.Choice(REWARD_MODES), default=GrpoConfig.reward, show_default=True)
 @click.option("--features", type=click.Choice(("match", "noise")), default="match", show_default=True)
@@ -569,7 +546,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @click.option("--learning-rate", type=float, default=4.0, show_default=True, help="Desk-scale override of the recorded 1e-6 default.")
 @click.option("--epochs", type=int, default=GrpoConfig.epochs, show_default=True)
 @click.option("--batch-size", type=int, default=GrpoConfig.batch_size, show_default=True)
-@_command
+@_command("windows", "corpus")
 def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
@@ -589,7 +566,6 @@ def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, grou
     final_reward = evaluate_mean_reward(result.policy, windows, cfg, "final")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_curve(result.curve, out / "curve.csv")
     save_policy(result.policy, out / "policy.json")
     for name in ("curve.csv", "policy.json"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,20 +34,6 @@ _KINDS = (KIND_RESUME, KIND_JOB)
 ACCEPTED = "accepted"
 REJECTED = "rejected"
 UNLABELED = "unlabeled"
-
-# Hiragana/katakana, CJK ideograph blocks (incl. extension A and compat).
-_CJK = re.compile(r"[぀-ヿ㐀-䶿一-鿿豈-﫿]")
-
-
-def estimate_tokens(text: str) -> int:
-    """Deterministic token estimate: whitespace-split words plus one per CJK codepoint.
-
-    Informational only; real tokenizers will disagree on exact counts.
-    """
-    cjk = len(_CJK.findall(text))
-    words = len(_CJK.sub(" ", text).split())
-    return words + cjk
-
 
 @dataclass(frozen=True)
 class Document:
@@ -117,8 +102,12 @@ def accepted_by_job(labels: Iterable[Label]) -> dict[str, frozenset[str]]:
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedRecord("not valid UTF-8", line=lineno) from None
             if not line.strip():
                 continue
             try:
@@ -134,12 +123,14 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """A text file to write ``path`` through: it replaces ``path`` only once the block ends.
 
-    The text goes to a temporary file beside ``path``, which ``os.replace``
-    moves onto it. So a write that fails or is cut short leaves the old
-    ``path`` whole, and a failed write removes its temporary file. The file
-    gets the mode a plain ``open`` would give it.
+    A missing parent directory is created first. The text goes to a
+    temporary file beside ``path``, which ``os.replace`` moves onto it. So a
+    write that fails or is cut short leaves the old ``path`` whole, and a
+    failed write removes its temporary file. The file gets the mode a plain
+    ``open`` would give it.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
@@ -263,8 +254,8 @@ def load_pools(
     for lineno, rec in iter_jsonl(path):
         job_id = rec.get("job_id")
         candidates = rec.get("candidates")
-        if not isinstance(job_id, str) or not isinstance(candidates, list):
-            raise MalformedRecord("pool needs 'job_id' and 'candidates'", line=lineno)
+        if not isinstance(job_id, str) or not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+            raise MalformedRecord("pool needs a string 'job_id' and a list of string 'candidates'", line=lineno)
         if job_id in first_line:
             raise MalformedRecord(
                 f"pool for job {job_id!r} repeats line {first_line[job_id]}", line=lineno

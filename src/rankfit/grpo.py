@@ -78,7 +78,7 @@ class GrpoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ("group_size", "batch_size"), int, lambda v: v >= 1, ">= 1")
+        check_fields(self, ("group_size", "batch_size", "epochs"), int, lambda v: v >= 1, ">= 1")
         check_fields(self, ("beta",), float, lambda v: v >= 0, ">= 0")
         if self.reward not in REWARD_MODES:
             raise ConfigError(f"reward must be one of {REWARD_MODES}")

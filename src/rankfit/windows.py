@@ -94,12 +94,17 @@ class Window:
     hint: str | None = None
 
     def __post_init__(self):
+        where = f"window {self.window_id}: "
+        check_fields(self, ("window_id", "job_id"), str, bool, "a non-empty string", where)
+        check_fields(self, ("candidate_ids",), tuple, lambda v: all(isinstance(c, str) for c in v), "a list of ids", where)
+        n = len(self.candidate_ids)
+        is_perm = lambda v: all(type(i) is int for i in v) and sorted(v) == list(range(1, n + 1))
+        check_fields(self, ("presented_order",), tuple, is_perm, f"a permutation of 1..{n}", where)
+        check_fields(self, ("r_bar",), (int, float, type(None)), lambda v: v is None or 0 <= v <= 1, "null or a number in [0, 1]", where)
         if len(set(self.candidate_ids)) != len(self.candidate_ids):
-            raise ConfigError(f"window {self.window_id}: duplicate candidate ids")
+            raise ConfigError(f"{where}duplicate candidate ids")
         if self.candidate_ids.count(self.gold_id) != 1:
-            raise ConfigError(f"window {self.window_id}: gold must appear exactly once")
-        if sorted(self.presented_order) != list(range(1, len(self.candidate_ids) + 1)):
-            raise ConfigError(f"window {self.window_id}: presented_order is not a permutation")
+            raise ConfigError(f"{where}gold must appear exactly once")
 
     def presented_ids(self) -> tuple[str, ...]:
         return tuple(self.candidate_ids[i - 1] for i in self.presented_order)
@@ -120,12 +125,14 @@ class Window:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Window":
+        """The window a ``to_record`` dict holds; its JSON lists become tuples."""
+        as_tuple = lambda v: tuple(v) if isinstance(v, list) else v
         return cls(
             window_id=rec["window_id"],
             job_id=rec["job_id"],
-            candidate_ids=tuple(rec["candidates"]),
+            candidate_ids=as_tuple(rec["candidates"]),
             gold_id=rec["gold"],
-            presented_order=tuple(rec["presented_order"]),
+            presented_order=as_tuple(rec["presented_order"]),
             r_bar=rec.get("r_bar"),
             hint=rec.get("hint"),
         )
@@ -248,8 +255,7 @@ def annotate_difficulty(
             if resp.degraded:
                 continue
             valid += 1
-            top_id = window.presented_ids()[resp.ordering[0] - 1]
-            if top_id == window.gold_id:
+            if resp.ordering[0] == window.gold_slot():
                 hits += 1
         return replace(window, r_bar=hits / valid if valid else None)
 

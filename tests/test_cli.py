@@ -1020,3 +1020,76 @@ def test_unusable_endpoint_numbers_exit_2(key, value, input_files, tmp_path):
     )
     assert code == 2, output
     assert f"error: endpoint {key} must be" in output
+
+
+@pytest.mark.parametrize(
+    "field,value,strategy,message",
+    [
+        ("candidates", 5, "all", "candidate_ids must be a list of ids, got 5"),
+        ("candidates", ["a", 2, "c", "d"], "all", "candidate_ids must be a list of ids, got ('a', 2, 'c', 'd')"),
+        ("presented_order", [1, 2, 3, "4"], "all", "presented_order must be a permutation of 1..4, got (1, 2, 3, '4')"),
+        ("presented_order", [1, 2, 3, True], "all", "presented_order must be a permutation of 1..4, got (1, 2, 3, True)"),
+        ("job_id", {"id": "j"}, "all", "job_id must be a non-empty string, got {'id': 'j'}"),
+        ("r_bar", "0.5", "remove_hard", "r_bar must be null or a number in [0, 1], got '0.5'"),
+        ("r_bar", 1.5, "remove_hard", "r_bar must be null or a number in [0, 1], got 1.5"),
+    ],
+)
+def test_malformed_window_record_exits_2_naming_line_and_field(field, value, strategy, message, input_files, runner, tmp_path):
+    files, _ = input_files
+    records = [dict(json.loads(line), r_bar=0.5) for line in files["windows"].read_text().splitlines()]
+    records[1][field] = value
+    windows = tmp_path / "bad-windows.jsonl"
+    write_jsonl(records, windows)
+    result = invoke(runner, ["filter", "--windows", str(windows), "--out", str(tmp_path / "f.jsonl"), "--strategy", strategy])
+    assert result.exit_code == 2, result.output
+    assert f"error: line 2: bad window record: window {records[1]['window_id']}: {message}" in result.output
+    assert not (tmp_path / "f.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,name", [("build-windows", "corpus"), ("rerank", "pools"), ("filter", "windows")])
+def test_input_that_is_not_utf8_exits_2_naming_the_line(command, name, input_files, runner, tmp_path):
+    files, _ = input_files
+    lines = files[name].read_bytes().splitlines(keepends=True)
+    bad = tmp_path / f"bad-{name}.jsonl"
+    bad.write_bytes(b"".join([*lines[:2], b'{"id": "\xff\xfe"}\n', *lines[2:]]))
+    args = ["filter", "--strategy", "all", "--out", str(tmp_path / "f.jsonl")] if command == "filter" else _command_args(command, files, tmp_path)
+    result = invoke(runner, [*args, f"--{name}", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "error: line 3: not valid UTF-8" in result.output
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("final", 5, "is not a permutation of its pool"),
+        ("final", "as-dict", "is not a permutation of its pool"),  # keys that are the pool's ids
+        ("final", [1, "r"], "is not a permutation of its pool"),
+        ("degraded_calls", "2", "degraded_calls must be an integer >= 0, got '2'"),
+        ("degraded_calls", -1, "degraded_calls must be an integer >= 0, got -1"),
+        ("degraded_calls", 1.5, "degraded_calls must be an integer >= 0, got 1.5"),
+        ("degraded_calls", True, "degraded_calls must be an integer >= 0, got True"),
+    ],
+)
+def test_evaluate_rejects_malformed_reranked_row(key, value, message, input_files, runner, tmp_path):
+    files, _ = input_files
+    rows = [json.loads(line) for line in files["reranked"].read_text().splitlines()]
+    rows[1][key] = dict.fromkeys(rows[1]["final"], 0) if value == "as-dict" else value
+    reranked = tmp_path / "reranked.jsonl"
+    write_jsonl(rows, reranked)
+    result = invoke(
+        runner,
+        ["evaluate", "--pools", str(files["pools"]), "--labels", str(files["labels"]),
+         "--reranked", str(reranked), "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: line 2: " in result.output and message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_simulate_grpo_epochs_below_one_exits_2(epochs, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args("simulate-grpo", files, tmp_path), "--epochs", epochs])
+    assert result.exit_code == 2, result.output
+    assert f"error: epochs must be >= 1, got {epochs}" in result.output
+    assert not (tmp_path / "g").exists()

@@ -10,7 +10,6 @@ from rankfit.core import (
     UNLABELED,
     Document,
     Label,
-    estimate_tokens,
     load_corpus,
     load_labels,
     load_pools,
@@ -75,6 +74,12 @@ class TestLoadCorpus:
             load_corpus(path)
         assert exc_info.value.line == 1
 
+    def test_bytes_that_are_not_utf8_report_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps({"id": "r1", "kind": "resume", "fields": []}).encode() + b'\n\n{"id": "\xe9"}\n')
+        with pytest.raises(MalformedRecord, match=r"^line 3: not valid UTF-8$"):
+            load_corpus(path)
+
     def test_roundtrip(self, tmp_path):
         docs = [
             Document(id="r1", kind="resume", fields=(("a", "x"), ("b", "y"))),
@@ -109,17 +114,6 @@ class TestRenderDocument:
         ]
         rendered = {render_document(d) for d in docs}
         assert len(rendered) == len(docs)
-
-
-class TestTokenEstimate:
-    def test_plain_words(self):
-        assert estimate_tokens("three plain words") == 3
-
-    def test_cjk_counted_per_codepoint(self):
-        assert estimate_tokens("机器学习 engineer") == 5
-
-    def test_empty(self):
-        assert estimate_tokens("") == 0
 
 
 class TestLabels:
@@ -185,6 +179,12 @@ class TestLoadPools:
         records = [{"job_id": j, "candidates": [f"{j}-r1", f"{j}-r2"]} for j in ("j1", "j2", "j1")]
         _write_lines(path, [json.dumps(rec) for rec in records])
         with pytest.raises(MalformedRecord, match=r"^line 3: pool for job 'j1' repeats line 1$"):
+            load_pools(path, [])
+
+    @pytest.mark.parametrize("candidates", [["r1", 2], ["r1", None], "r1"])
+    def test_candidates_must_be_a_list_of_string_ids(self, tmp_path, candidates):
+        path = self._pool_file(tmp_path, candidates)
+        with pytest.raises(MalformedRecord, match="^line 1: pool needs a string 'job_id' and a list of string 'candidates'$"):
             load_pools(path, [])
 
     def test_duplicate_candidates(self, tmp_path):
@@ -289,6 +289,13 @@ class TestAtomicWrites:
             write(target)
         assert target.read_bytes() == b"old artifact\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_creates_missing_parent_directories(self, tmp_path):
+        target = tmp_path / "a" / "b" / "artifact"
+        with open_atomic(target) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in target.parent.iterdir()] == ["artifact"]
 
     def test_replaces_the_target_with_the_mode_a_plain_open_gives(self, tmp_path):
         plain = tmp_path / "plain"

@@ -344,6 +344,11 @@ class TestGrpoStep:
         with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
             GrpoConfig(batch_size=0)
 
+    @pytest.mark.parametrize("epochs", [0, -2, 1.5])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ConfigError, match=f"epochs must be >= 1, got {epochs}"):
+            GrpoConfig(epochs=epochs)
+
     def test_empty_batch_rejected(self):
         policy = onehot_policy()
         with pytest.raises(ConfigError):

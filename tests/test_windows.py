@@ -143,6 +143,31 @@ class TestBuildWindows:
         (window,) = build_windows(pool, PipelineConfig(), rng)[:1]
         assert Window.from_record(window.to_record()) == window
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("window_id", "", "window_id must be a non-empty string, got ''"),
+            ("job_id", ["j1"], "job_id must be a non-empty string, got ['j1']"),
+            ("candidates", 5, "candidate_ids must be a list of ids, got 5"),
+            ("candidates", "abcd", "candidate_ids must be a list of ids, got 'abcd'"),
+            ("presented_order", [1, 2, 3, "4"], "presented_order must be a permutation of 1..4, got (1, 2, 3, '4')"),
+            ("presented_order", [1, 2, 3, 4.0], "presented_order must be a permutation of 1..4, got (1, 2, 3, 4.0)"),
+            ("presented_order", [1, 2, 2, 4], "presented_order must be a permutation of 1..4, got (1, 2, 2, 4)"),
+            ("r_bar", "0.5", "r_bar must be null or a number in [0, 1], got '0.5'"),
+            ("r_bar", -0.1, "r_bar must be null or a number in [0, 1], got -0.1"),
+            ("r_bar", False, "r_bar must be null or a number in [0, 1], got False"),
+        ],
+    )
+    def test_record_field_of_wrong_type_names_the_field(self, key, value, message):
+        rec = dict(make_window(r_bar=0.5).to_record(), **{key: value})
+        with pytest.raises(ConfigError) as exc_info:
+            Window.from_record(rec)
+        assert str(exc_info.value).endswith(message)
+
+    @pytest.mark.parametrize("r_bar", [None, 0, 0.25, 1])
+    def test_record_r_bar_null_or_in_unit_interval(self, r_bar):
+        assert Window.from_record(make_window(r_bar=r_bar).to_record()).r_bar == r_bar
+
 
 class TestPresentedSlotUniformity:
     def test_gold_slot_spread(self):
