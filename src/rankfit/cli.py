@@ -20,8 +20,9 @@ import click
 
 from . import __version__
 from .core import (
-    KIND_RESUME,
     accepted_by_job,
+    check_in_corpus,
+    iter_job_rows,
     iter_jsonl,
     load_corpus,
     load_labels,
@@ -82,9 +83,9 @@ def _command(*paths: str):
     """Add a ``--<name>`` file option per path, --seed and --config; map toolkit errors to exit 2.
 
     A degraded run's exit code 1 passes through. A file option reaches the
-    command as ``<name>_path``; --out, --windows and --reranked are required
-    in click, and the commands check the others with ``_input``, as a
-    command may not need --labels. The command receives the loaded
+    command as the Path ``<name>_path``; --out, --windows and --reranked are
+    required in click, and the commands check the others with ``_input``, as
+    a command may not need --labels. The command receives the loaded
     ``config`` dict, whose keys and those of every section in it have been
     checked against CONFIG_SECTIONS, whether or not the command reads that
     section.
@@ -106,7 +107,7 @@ def _command(*paths: str):
 
         for name in reversed(paths):
             required = name in ("out", "windows", "reranked")
-            wrapper = click.option(f"--{name}", f"{name}_path", type=click.Path(), required=required)(wrapper)
+            wrapper = click.option(f"--{name}", f"{name}_path", type=click.Path(path_type=Path), required=required)(wrapper)
         return wrapper
 
     return decorate
@@ -127,13 +128,13 @@ def _load_object(path: str | Path | None, what: str = "config file") -> dict:
     return cfg
 
 
-def _input(path: str | None, name: str) -> Path:
+def _input(path: Path | None, name: str) -> Path:
     """The input file ``name`` given by its flag; it must exist."""
-    if not path:
+    if path is None or not path.name:  # click reads an empty flag as Path(".")
         raise ConfigError(f"missing required path for {name}")
-    if not Path(path).exists():
+    if not path.exists():
         raise ConfigError(f"{name} path {path} does not exist")
-    return Path(path)
+    return path
 
 
 def _check_keys(section, name: str, table) -> None:
@@ -221,23 +222,15 @@ def _make_ranker(name: str, p_flip: float, seed: int, config: dict, labels):
     return LlmRanker(_endpoint_from_config(config)), settings
 
 
-def _pools(flag: str | None, labels, corpus=None):
-    """Pools with labels joined; with a corpus, every candidate must be one of its resumes."""
-    resumes = None if corpus is None else {i for i, d in corpus.items() if d.kind == KIND_RESUME}
-    return load_pools(_input(flag, "pools"), labels, resume_ids=resumes)
-
-
-def _windows(flag: str | None, corpus=None) -> list[Window]:
-    """Windows from the --windows file; with a corpus, each must name only its documents."""
+def _windows(flag: Path | None, corpus=None) -> list[Window]:
+    """Windows from the --windows file; with a corpus, each must pass ``check_in_corpus``."""
     windows = []
     for lineno, rec in iter_jsonl(_input(flag, "windows")):
         try:
             window = Window.from_record(rec)
         except (KeyError, ConfigError) as exc:
             raise MalformedRecord(f"bad window record: {exc}", line=lineno) from exc
-        missing = [] if corpus is None else [i for i in (window.job_id, *window.candidate_ids) if i not in corpus]
-        if missing:
-            raise MalformedRecord(f"window {window.window_id}: document {missing[0]!r} missing from corpus", line=lineno)
+        check_in_corpus(corpus, window.job_id, window.candidate_ids, lineno, f"window {window.window_id}: ")
         windows.append(window)
     return windows
 
@@ -254,7 +247,7 @@ def main():
 
 
 @main.command("gen-synthetic")
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--n-jobs", type=int, default=None, help="Number of job posts.")
 @click.option("--n-background", type=int, default=None, help="Background resume count.")
 @_command()
@@ -263,14 +256,13 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     cfg = _settings(SyntheticConfig, config, "synthetic", n_jobs=n_jobs, n_background=n_background, seed=seed)
     documents, labels, pools = generate(cfg)
 
-    out = Path(out_dir)
-    write_corpus(documents.values(), out / "corpus.jsonl")
-    write_labels(labels, out / "labels.jsonl")
-    write_pools(pools, out / "pools.jsonl")
+    write_corpus(documents.values(), out_dir / "corpus.jsonl")
+    write_labels(labels, out_dir / "labels.jsonl")
+    write_pools(pools, out_dir / "pools.jsonl")
     for name in ("corpus.jsonl", "labels.jsonl", "pools.jsonl"):
-        _write_meta(out / name, {"synthetic": asdict(cfg)}, seed)
+        _write_meta(out_dir / name, {"synthetic": asdict(cfg)}, seed)
     click.echo(
-        f"wrote {len(documents)} documents, {len(labels)} labels, {len(pools)} pools to {out}"
+        f"wrote {len(documents)} documents, {len(labels)} labels, {len(pools)} pools to {out_dir}"
     )
     return 0
 
@@ -280,12 +272,11 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
 def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, seed):
     """Build 4-candidate training windows from labeled pools."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
-    pools = _pools(pools_path, load_labels(_input(labels_path, "labels")), corpus)
+    pools = load_pools(_input(pools_path, "pools"), load_labels(_input(labels_path, "labels")), corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     windows, skips = build_all_windows(pools, cfg)
-    out = Path(out_path)
-    write_jsonl((w.to_record() for w in windows), out)
+    write_jsonl((w.to_record() for w in windows), out_path)
 
     effective = {"pipeline": asdict(cfg)}
     skip_report = {
@@ -296,8 +287,8 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
         "windows_per_job": dict(sorted(Counter(w.job_id for w in windows).items())),
         "provenance": _provenance(effective, seed),
     }
-    _write_json(out.parent / "skips.json", skip_report)
-    _write_meta(out, effective, seed)
+    _write_json(out_path.parent / "skips.json", skip_report)
+    _write_meta(out_path, effective, seed)
     click.echo(
         f"jobs kept {skip_report['jobs_kept']}/{skip_report['jobs_total']} "
         f"(skipped: {skip_report['skips'] or 'none'}); windows emitted {len(windows)}"
@@ -320,9 +311,8 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
     annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=_workers(jobs, ranker))
-    out = Path(out_path)
-    write_jsonl((w.to_record() for w in annotated), out)
-    _write_meta(out, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
+    write_jsonl((w.to_record() for w in annotated), out_path)
+    _write_meta(out_path, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
     click.echo(
         f"annotated {len(annotated)} windows over {stats.trials} trials; "
         f"{len(stats.failed_windows)} windows had no successful trial"
@@ -332,10 +322,9 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 
 @main.command("filter")
 @click.option("--strategy", type=click.Choice(STRATEGIES), required=True)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None, help="Needed for llm_filter.")
-@_command("windows", "out")
-def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
-    """Apply a data-filtering strategy to annotated windows."""
+@_command("windows", "corpus", "out")
+def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
+    """Apply a data-filtering strategy to annotated windows; llm_filter also reads --corpus."""
     corpus = load_corpus(_input(corpus_path, "corpus")) if strategy == "llm_filter" else None
     windows = _windows(windows_path, corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
@@ -347,12 +336,11 @@ def cmd_filter(windows_path, out_path, strategy, corpus_path, config, seed):
 
     rng = child_rng(seed, f"filter:{strategy}")
     kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge, max_workers=workers)
-    out = Path(out_path)
-    write_jsonl((w.to_record() for w in kept), out)
+    write_jsonl((w.to_record() for w in kept), out_path)
     effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
     if strategy == "subsample_hard":
         effective["subsample_keep"] = cfg.subsample_keep
-    _write_meta(out, effective, seed)
+    _write_meta(out_path, effective, seed)
     failed = f" ({len(judge.failed)} kept after judge failure)" if judge else ""
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
     return 0
@@ -377,26 +365,25 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
     """Re-rank every pool with the sliding-window engine."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
     labels = load_labels(_input(labels_path, "labels"))
-    pools = _pools(pools_path, labels, corpus)
+    pools = load_pools(_input(pools_path, "pools"), labels, corpus)
     cfg = _settings(EngineConfig, config, "engine", window_size=k, stride=s, iterations=t, pool_size=n)
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
     traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=_workers(jobs, ranker))
 
-    out = Path(out_path)
     write_jsonl(
         (
             {"job_id": tr.job_id, "initial": list(tr.initial), "final": list(tr.final),
              "degraded_calls": tr.degraded_calls}
             for tr in traces
         ),
-        out,
+        out_path,
     )
-    _write_meta(out, {"engine": asdict(cfg), "ranker": ranker_cfg}, seed)
+    _write_meta(out_path, {"engine": asdict(cfg), "ranker": ranker_cfg}, seed)
     if trace:
         calls = ({"job_id": tr.job_id, **asdict(call)} for tr in traces for call in tr.calls)
-        write_jsonl(calls, out.parent / (out.stem + ".trace.jsonl"))
+        write_jsonl(calls, out_path.parent / (out_path.stem + ".trace.jsonl"))
 
     degraded = sum(tr.degraded_calls for tr in traces)
     click.echo(
@@ -407,13 +394,12 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
 
 
 @main.command("evaluate")
-@click.option("--metric-k", type=int, default=10, show_default=True)
+@click.option("--metric-k", type=click.IntRange(min=1), default=10, show_default=True)
 @_command("pools", "labels", "reranked", "out")
 def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, config, seed):
     """Score re-ranked pools against labels: nDCG@k and Recall@k, before and after."""
     labels = load_labels(_input(labels_path, "labels"))
-    by_job = {p.job_id: p for p in _pools(pools_path, labels)}
-    reranked_path = _input(reranked_path, "reranked")
+    by_job = {p.job_id: p for p in load_pools(_input(pools_path, "pools"), labels)}
 
     meta_path = Path(f"{reranked_path}.meta.json")
     meta = _load_object(meta_path, "reranked sidecar") if meta_path.exists() else {}
@@ -422,16 +408,9 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
     engine_cfg = meta.get("config", {}).get("engine", {})
 
     scored = []
-    first_line: dict[str, int] = {}
-    for lineno, rec in iter_jsonl(reranked_path):
-        job_id = rec.get("job_id")
+    for lineno, job_id, rec in iter_job_rows(_input(reranked_path, "reranked"), "reranked row"):
         if job_id not in by_job:
             raise MalformedRecord(f"reranked job {job_id!r} not found in pools", line=lineno)
-        if job_id in first_line:
-            raise MalformedRecord(
-                f"reranked job {job_id!r} repeats line {first_line[job_id]}", line=lineno
-            )
-        first_line[job_id] = lineno
         pool = by_job[job_id]
         final, degraded = rec.get("final", []), rec.get("degraded_calls", 0)
         if not isinstance(final, list) or not all(isinstance(c, str) for c in final) or sorted(final) != sorted(pool.candidates):
@@ -442,9 +421,8 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
 
     effective = {"engine": engine_cfg, "metric_k": metric_k}
     scores = score_run(scored, metric_k)
-    out = Path(out_path)
-    _write_json(out, {"config": engine_cfg, **scores, "provenance": _provenance(effective, seed)})
-    _write_meta(out, effective, seed)
+    _write_json(out_path, {"config": engine_cfg, **scores, "provenance": _provenance(effective, seed)})
+    _write_meta(out_path, effective, seed)
     macro = scores["macro"]
     nb, na = macro[f"ndcg{metric_k}_before"], macro[f"ndcg{metric_k}_after"]
     rb, ra = macro[f"recall{metric_k}_before"], macro[f"recall{metric_k}_after"]
@@ -485,7 +463,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     t, pool_size = engine.iterations, engine.pool_size
     corpus = load_corpus(_input(corpus_path, "corpus"))
     labels = load_labels(_input(labels_path, "labels"))
-    pools = _pools(pools_path, labels, corpus)
+    pools = load_pools(_input(pools_path, "pools"), labels, corpus)
     pools = [p for p in pools if len(p.candidates) == pool_size]
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
@@ -494,9 +472,8 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
-    out = Path(out_path)
-    _write_json(out, {"rows": rows, "rejected": rejected})
-    _write_meta(out, {"grid": grid, "iterations": t, "pool_size": pool_size, "ranker": ranker_cfg}, seed)
+    _write_json(out_path, {"rows": rows, "rejected": rejected})
+    _write_meta(out_path, {"grid": grid, "iterations": t, "pool_size": pool_size, "ranker": ranker_cfg}, seed)
 
     click.echo(f"{'setting':<14} {'nDCG@10':>8} {'Recall@10':>10} {'comp/iter':>10}")
     for row in rows:
@@ -527,9 +504,8 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
     )
 
     records, stats = distill_sft(windows, teacher, corpus, max_workers=_workers(None, teacher))
-    out = Path(out_path)
-    write_jsonl(records, out)
-    _write_meta(out, {"teacher": teacher_cfg}, seed)
+    write_jsonl(records, out_path)
+    _write_meta(out_path, {"teacher": teacher_cfg}, seed)
     click.echo(
         f"kept {stats.kept}/{len(windows)} windows "
         f"(wrong top: {stats.dropped_wrong_top}, malformed: {stats.dropped_malformed})"
@@ -538,7 +514,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 
 
 @main.command("simulate-grpo")
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--reward", type=click.Choice(REWARD_MODES), default=GrpoConfig.reward, show_default=True)
 @click.option("--features", type=click.Choice(("match", "noise")), default="match", show_default=True)
 @click.option("--group-size", type=int, default=GrpoConfig.group_size, show_default=True)
@@ -565,11 +541,10 @@ def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, grou
     result = train(policy, windows, cfg)
     final_reward = evaluate_mean_reward(result.policy, windows, cfg, "final")
 
-    out = Path(out_dir)
-    write_curve(result.curve, out / "curve.csv")
-    save_policy(result.policy, out / "policy.json")
+    write_curve(result.curve, out_dir / "curve.csv")
+    save_policy(result.policy, out_dir / "policy.json")
     for name in ("curve.csv", "policy.json"):
-        _write_meta(out / name, {"grpo": {**settings, "features": features}}, seed)
+        _write_meta(out_dir / name, {"grpo": {**settings, "features": features}}, seed)
     click.echo(
         f"trained {len(result.curve)} steps on {len(windows)} windows; "
         f"mean reward {initial_reward:.4f} -> {final_reward:.4f}"

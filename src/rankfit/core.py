@@ -141,6 +141,19 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         raise
 
 
+def iter_job_rows(path: str | Path, row: str) -> Iterator[tuple[int, str, dict]]:
+    """Yield (line_number, job_id, record) from a file of one ``row`` per job; a non-string or repeated job_id raises."""
+    first_line: dict[str, int] = {}
+    for lineno, rec in iter_jsonl(path):
+        job_id = rec.get("job_id")
+        if not isinstance(job_id, str):
+            raise MalformedRecord(f"{row} needs a string 'job_id', got {job_id!r}", line=lineno)
+        if job_id in first_line:
+            raise MalformedRecord(f"{row} for job {job_id!r} repeats line {first_line[job_id]}", line=lineno)
+        first_line[job_id] = lineno
+        yield lineno, job_id, rec
+
+
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     with open_atomic(path) as fh:
         for rec in records:
@@ -178,16 +191,12 @@ def _parse_document(rec: dict, lineno: int) -> Document:
 
 
 def load_corpus(path: str | Path) -> dict[str, Document]:
-    """Load documents keyed by id.
-
-    Raises MalformedRecord (with line number) on schema violations and
-    DuplicateId when an id repeats within the file.
-    """
+    """Load documents keyed by id; a bad record or a repeated id (DuplicateId) raises MalformedRecord naming its line."""
     docs: dict[str, Document] = {}
     for lineno, rec in iter_jsonl(path):
         doc = _parse_document(rec, lineno)
         if doc.id in docs:
-            raise DuplicateId(f"duplicate document id {doc.id!r} (line {lineno})")
+            raise DuplicateId(f"duplicate document id {doc.id!r}", line=lineno)
         docs[doc.id] = doc
     return docs
 
@@ -200,6 +209,21 @@ def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
         ),
         path,
     )
+
+
+def check_in_corpus(
+    corpus: Mapping[str, Document] | None, job_id: str, candidates: Iterable[str], line: int, prefix: str = ""
+) -> None:
+    """Raise UnknownDocument unless ``job_id`` names a job of ``corpus`` and each candidate a resume (None checks nothing)."""
+    if corpus is None:
+        return
+    wanted = KIND_JOB
+    for doc_id in (job_id, *candidates):
+        doc = corpus.get(doc_id)
+        if doc is None or doc.kind != wanted:
+            problem = "missing from corpus" if doc is None else f"is a {doc.kind}, not a {wanted}"
+            raise UnknownDocument(f"{prefix}document {doc_id!r} {problem}", line=line)
+        wanted = KIND_RESUME
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +242,7 @@ def load_labels(path: str | Path) -> list[Label]:
             raise MalformedRecord(f"'y' must be 0 or 1, got {y!r}", line=lineno)
         key = (job_id, resume_id)
         if key in seen:
-            raise DuplicateId(f"duplicate label for pair {key} (line {lineno})")
+            raise DuplicateId(f"duplicate label for pair {key}", line=lineno)
         seen.add(key)
         labels.append(Label(job_id=job_id, resume_id=resume_id, y=y))
     return labels
@@ -239,40 +263,27 @@ def write_labels(labels: Iterable[Label], path: str | Path) -> None:
 def load_pools(
     path: str | Path,
     labels: Iterable[Label],
-    resume_ids: Iterable[str] | None = None,
+    corpus: Mapping[str, Document] | None = None,
 ) -> list[RankedPool]:
     """Load retrieval pools and join interaction labels onto them.
 
-    Candidates absent from the label table are marked unlabeled. When
-    ``resume_ids`` is given, every candidate must resolve against it
-    (UnknownDocument otherwise). A pool with no candidates raises EmptyPool,
-    and a job with two pools raises MalformedRecord.
+    Candidates absent from the label table are marked unlabeled. With a
+    ``corpus``, each pool must pass ``check_in_corpus``. A pool with no
+    candidates raises EmptyPool, and a job with two pools raises
+    MalformedRecord.
     """
-    known = frozenset(resume_ids) if resume_ids is not None else None
     pools: list[tuple[str, list[str]]] = []
-    first_line: dict[str, int] = {}
-    for lineno, rec in iter_jsonl(path):
-        job_id = rec.get("job_id")
+    for lineno, job_id, rec in iter_job_rows(path, "pool"):
         candidates = rec.get("candidates")
-        if not isinstance(job_id, str) or not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
             raise MalformedRecord("pool needs a string 'job_id' and a list of string 'candidates'", line=lineno)
-        if job_id in first_line:
-            raise MalformedRecord(
-                f"pool for job {job_id!r} repeats line {first_line[job_id]}", line=lineno
-            )
-        first_line[job_id] = lineno
         if not candidates:
-            raise EmptyPool(f"pool for job {job_id!r} has no candidates (line {lineno})")
+            raise EmptyPool(f"pool for job {job_id!r} has no candidates", line=lineno)
         if len(set(candidates)) != len(candidates):
             raise MalformedRecord(
                 f"pool for job {job_id!r} contains duplicate candidates", line=lineno
             )
-        if known is not None:
-            for cid in candidates:
-                if cid not in known:
-                    raise UnknownDocument(
-                        f"pool for job {job_id!r} references unknown resume {cid!r}"
-                    )
+        check_in_corpus(corpus, job_id, candidates, lineno)
         pools.append((job_id, candidates))
     return join_labels(pools, labels)
 

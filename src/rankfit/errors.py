@@ -21,15 +21,15 @@ class MalformedRecord(RankfitError):
         super().__init__(message)
 
 
-class DuplicateId(RankfitError):
+class DuplicateId(MalformedRecord):
     """An identifier appears more than once where uniqueness is required."""
 
 
-class UnknownDocument(RankfitError):
-    """A referenced document id does not exist in the corpus."""
+class UnknownDocument(MalformedRecord):
+    """A referenced document id is not in the corpus, or is not of the kind required."""
 
 
-class EmptyPool(RankfitError):
+class EmptyPool(MalformedRecord):
     """A retrieval pool has no candidates."""
 
 

@@ -79,7 +79,8 @@ class GrpoConfig:
 
     def __post_init__(self):
         check_fields(self, ("group_size", "batch_size", "epochs"), int, lambda v: v >= 1, ">= 1")
-        check_fields(self, ("beta",), float, lambda v: v >= 0, ">= 0")
+        check_fields(self, ("beta",), float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
+        check_fields(self, ("learning_rate",), float, lambda v: 0 < v < float("inf"), "a finite number > 0")
         if self.reward not in REWARD_MODES:
             raise ConfigError(f"reward must be one of {REWARD_MODES}")
         if self.kl_mode not in KL_MODES:

@@ -1,17 +1,19 @@
 """Run the README quickstart in a temporary directory and print artifact digests.
 
 Usage:
-    python tests/data/quickstart_digest.py [--src DIR] [--n-jobs 50]
-        [--n-background 400] [--seed 8]
+    python tests/data/quickstart_digest.py [--src DIR] [--against DIR]
+        [--n-jobs 50] [--n-background 400] [--seed 8]
 
 Each command of the README quickstart runs as ``python -m rankfit.cli`` with
 ``DIR`` (default: this checkout's ``src``) first on PYTHONPATH. ``--seed``
 replaces the quickstart's seed 8 wherever the README passes it, and
 ``--n-jobs``/``--n-background`` set the corpus scale. The output is one
 ``<sha256>  <path>`` line per file the commands wrote, meta sidecars
-included, sorted by path, then the sha256 of that list. Run it against two
-trees (``--src other/src``) and diff the output to check that a change keeps
-every artifact byte-identical. Uses the standard library only.
+included, sorted by path, then the sha256 of that list. ``--against
+other/src`` runs the quickstart on that tree too, prints only the paths whose
+digest differs between the two (or that one tree lacks), and exits 1 if any
+does: the check that a change keeps every artifact byte-identical. Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -56,28 +58,44 @@ def digests(root: Path) -> list[tuple[str, str]]:
     ]
 
 
+def run_quickstart(src: Path, n_jobs: int, n_background: int, seed: int) -> dict[str, str] | None:
+    """{path: sha256} of every file the quickstart wrote with ``src`` first on PYTHONPATH; None if a command failed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src.resolve()), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="quickstart-") as tmp:
+        root = Path(tmp)
+        for argv in quickstart(n_jobs, n_background, seed):
+            run = subprocess.run([sys.executable, "-m", "rankfit.cli", *argv], cwd=root, env=env,
+                                 capture_output=True, text=True)
+            if run.returncode != 0:
+                sys.stderr.write(f"rankfit {argv[0]} ({src}) exited {run.returncode}:\n{run.stdout}{run.stderr}")
+                return None
+        return {path: digest for digest, path in digests(root)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC, help="directory holding the rankfit package")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a second package directory; print only the paths whose digest differs")
     parser.add_argument("--n-jobs", type=int, default=50)
     parser.add_argument("--n-background", type=int, default=400)
     parser.add_argument("--seed", type=int, default=8)
     args = parser.parse_args()
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(args.src.resolve()), env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory(prefix="quickstart-") as tmp:
-        root = Path(tmp)
-        for argv in quickstart(args.n_jobs, args.n_background, args.seed):
-            run = subprocess.run([sys.executable, "-m", "rankfit.cli", *argv], cwd=root, env=env,
-                                 capture_output=True, text=True)
-            if run.returncode != 0:
-                sys.stderr.write(f"rankfit {argv[0]} exited {run.returncode}:\n{run.stdout}{run.stderr}")
-                return 1
-        rows = digests(root)
-    listing = "".join(f"{digest}  {path}\n" for digest, path in rows)
+    trees = [args.src] if args.against is None else [args.src, args.against]
+    runs = [run_quickstart(src, args.n_jobs, args.n_background, args.seed) for src in trees]
+    if None in runs:
+        return 1
+    if args.against is not None:
+        ours, theirs = runs
+        differ = sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p))
+        sys.stdout.write("".join(f"{path}\n" for path in differ))
+        sys.stderr.write(f"{len(differ)} of {len(ours.keys() | theirs.keys())} files differ\n")
+        return 1 if differ else 0
+    listing = "".join(f"{digest}  {path}\n" for path, digest in runs[0].items())
     sys.stdout.write(listing)
-    sys.stdout.write(f"{hashlib.sha256(listing.encode('utf-8')).hexdigest()}  (all {len(rows)} files)\n")
+    sys.stdout.write(f"{hashlib.sha256(listing.encode('utf-8')).hexdigest()}  (all {len(runs[0])} files)\n")
     return 0
 
 

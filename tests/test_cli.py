@@ -10,7 +10,7 @@ from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, 
 from rankfit.engine import EngineConfig, evaluate_run
 from rankfit.ranker import NoisyOracleRanker
 
-from conftest import make_job, make_resume, make_window, run_rankfit
+from conftest import ChatHandler, make_job, make_resume, make_window, run_rankfit
 from oracles import naive_ndcg, naive_recall
 
 
@@ -782,6 +782,17 @@ def test_missing_input_exits_2_naming_it(command, name, how, input_files, runner
 
 
 @pytest.mark.parametrize(
+    "command,name", [(cmd, name) for cmd, (_, names) in _COMMAND_INPUTS.items() for name in names]
+)
+def test_empty_input_path_exits_2_naming_it(command, name, input_files, runner, tmp_path):
+    # click turns an empty path into Path("."), which exists
+    files, _ = input_files
+    result = invoke(runner, [*_command_args(command, files, tmp_path), f"--{name}", ""])
+    assert result.exit_code == 2, result.output
+    assert f"error: missing required path for {name}" in result.output
+
+
+@pytest.mark.parametrize(
     "config,expected",
     [
         ({"pipeline": 5}, "config section 'pipeline' must be a JSON object"),
@@ -1093,3 +1104,117 @@ def test_simulate_grpo_epochs_below_one_exits_2(epochs, input_files, runner, tmp
     assert result.exit_code == 2, result.output
     assert f"error: epochs must be >= 1, got {epochs}" in result.output
     assert not (tmp_path / "g").exists()
+
+
+def _bad_pools(files, tmp_path, how):
+    """The pools file with its last pool naming an unknown job, or a job document as a candidate.
+
+    Returns the file, its bad line number, and the document the error names.
+    """
+    corpus = load_corpus(files["corpus"])
+    lines = files["pools"].read_text().splitlines()
+    last = json.loads(lines[-1])
+    if how == "unknown job":
+        last["job_id"], named, problem = "j-ghost", "j-ghost", "missing from corpus"
+    elif how == "resume as job":
+        last["job_id"] = named = next(d for d in corpus if corpus[d].kind == "resume")
+        problem = "is a resume, not a job"
+    else:
+        named = next(d for d in corpus if corpus[d].kind == "job" and d != last["job_id"])
+        last["candidates"][-1], problem = named, "is a job, not a resume"
+    pools = tmp_path / "bad-pools.jsonl"
+    pools.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+    return pools, len(lines), f"document {named!r} {problem}"
+
+
+@pytest.mark.parametrize("how", ["unknown job", "resume as job", "job as candidate"])
+@pytest.mark.parametrize("command", ["build-windows", "rerank", "ablate"])
+def test_pool_naming_a_wrong_document_exits_2_naming_the_line(command, how, input_files, runner, tmp_path):
+    files, _ = input_files
+    pools, line, message = _bad_pools(files, tmp_path, how)
+    result = invoke(runner, [*_command_args(command, files, tmp_path), "--pools", str(pools)])
+    assert result.exit_code == 2, result.output
+    assert f"error: line {line}: {message}" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["bad-pools.jsonl"]  # no artifact written
+
+
+@pytest.mark.parametrize("how", ["unknown job", "job as candidate"])
+def test_endpoint_rerank_of_a_bad_pool_sends_no_request(how, http_server, input_files, runner, tmp_path):
+    files, _ = input_files
+    pools, line, message = _bad_pools(files, tmp_path, how)
+    endpoint = {"base_url": http_server, "model": "m", "timeout_s": 5, "retry_backoff_s": 0}
+    args = _command_args("rerank", {**files, "pools": pools}, tmp_path, {"ranker": {"endpoint": endpoint}})
+    hits = ChatHandler.hits
+    result = invoke(runner, [*args, "--ranker", "endpoint"])
+    assert result.exit_code == 2, result.output
+    assert f"error: line {line}: {message}" in result.output
+    assert ChatHandler.hits == hits
+
+
+@pytest.mark.parametrize("job_id", [["j0000"], 5])
+def test_evaluate_rejects_a_reranked_row_without_a_string_job_id(job_id, input_files, runner, tmp_path):
+    files, _ = input_files
+    rows = [json.loads(line) for line in files["reranked"].read_text().splitlines()]
+    rows[1]["job_id"] = job_id
+    reranked = tmp_path / "reranked.jsonl"
+    write_jsonl(rows, reranked)
+    result = invoke(
+        runner,
+        ["evaluate", "--pools", str(files["pools"]), "--labels", str(files["labels"]),
+         "--reranked", str(reranked), "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: line 2: reranked row needs a string 'job_id', got {job_id!r}" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("swap", ["job as candidate", "resume as job"])
+def test_annotate_rejects_a_window_naming_a_document_of_the_wrong_kind(swap, input_files, runner, tmp_path):
+    files, _ = input_files
+    corpus = load_corpus(files["corpus"])
+    records = [json.loads(line) for line in files["windows"].read_text().splitlines()]
+    bad = dict(records[0])
+    if swap == "job as candidate":
+        named = next(d for d in corpus if corpus[d].kind == "job" and d != bad["job_id"])
+        negative = next(c for c in bad["candidates"] if c != bad["gold"])
+        bad["candidates"] = [named if c == negative else c for c in bad["candidates"]]
+        problem = "is a job, not a resume"
+    else:
+        bad["job_id"] = named = bad["gold"]
+        problem = "is a resume, not a job"
+    windows = tmp_path / "bad-windows.jsonl"
+    write_jsonl([bad, *records[1:]], windows)
+    result = invoke(runner, _command_args("annotate", {**files, "windows": windows}, tmp_path))
+    assert result.exit_code == 2, result.output
+    assert f"error: line 1: window {bad['window_id']}: document {named!r} {problem}" in result.output
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+@pytest.mark.parametrize("rate", ["-4", "0", "nan", "inf"])
+def test_simulate_grpo_rejects_a_learning_rate_that_is_not_finite_and_positive(rate, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args("simulate-grpo", files, tmp_path), "--learning-rate", rate])
+    assert result.exit_code == 2, result.output
+    assert "error: learning_rate must be a finite number > 0, got" in result.output
+    assert not (tmp_path / "g").exists()
+
+
+def test_evaluate_metric_k_below_one_names_the_option(input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args("evaluate", files, tmp_path), "--metric-k", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--metric-k'" in result.output
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [("4:2:1", "bad grid point '4:2:1'; expected k:s"), ("a:2", "bad grid point 'a:2'; expected k:s"),
+     (",", "empty ablation grid")],
+)
+def test_ablate_rejects_a_bad_grid(grid, message, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args("ablate", files, tmp_path), "--grid", grid])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+    assert not (tmp_path / "ab.json").exists()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -167,7 +168,7 @@ class TestLoadPools:
     def test_unknown_document(self, tmp_path):
         path = self._pool_file(tmp_path, ["r1", "r999"])
         with pytest.raises(UnknownDocument):
-            load_pools(path, [], resume_ids={"r1"})
+            load_pools(path, [], corpus={"j1": Document("j1", "job", ()), "r1": Document("r1", "resume", ())})
 
     def test_empty_pool(self, tmp_path):
         path = self._pool_file(tmp_path, [])
@@ -221,6 +222,35 @@ class TestLoadPools:
         (loaded,) = load_pools(path, [])
         assert loaded.job_id == "j1"
         assert loaded.candidates == ("r1", "r2")
+
+
+_JOB, _RESUME = Document("j1", "job", ()), Document("r1", "resume", ())
+
+
+@pytest.mark.parametrize(
+    "error,load,lines,expected",
+    [
+        (DuplicateId, load_corpus, [{"id": "r1", "kind": "resume", "fields": []}] * 2,
+         "line 2: duplicate document id 'r1'"),
+        (DuplicateId, load_labels, [{"job_id": "j", "resume_id": "r", "y": 1}] * 2,
+         "line 2: duplicate label for pair ('j', 'r')"),
+        (EmptyPool, lambda path: load_pools(path, []), [{"job_id": "j0", "candidates": ["r1"]}, {"job_id": "j1", "candidates": []}],
+         "line 2: pool for job 'j1' has no candidates"),
+        (UnknownDocument, lambda path: load_pools(path, [], {"j1": _JOB, "r1": _RESUME}),
+         [{"job_id": "j1", "candidates": ["r1", "r2"]}], "line 1: document 'r2' missing from corpus"),
+        (UnknownDocument, lambda path: load_pools(path, [], {"j1": _JOB, "r1": _RESUME}),
+         [{"job_id": "r1", "candidates": ["r1"]}], "line 1: document 'r1' is a resume, not a job"),
+        (UnknownDocument, lambda path: load_pools(path, [], {"j1": _JOB, "r1": _RESUME}),
+         [{"job_id": "j1", "candidates": ["r1", "j1"]}], "line 1: document 'j1' is a job, not a resume"),
+    ],
+)
+def test_loader_errors_are_malformed_records_that_lead_with_the_line(error, load, lines, expected, tmp_path):
+    path = tmp_path / "input.jsonl"
+    _write_lines(path, [json.dumps(rec) for rec in lines])
+    with pytest.raises(error, match=f"^{re.escape(expected)}$") as caught:
+        load(path)
+    assert isinstance(caught.value, MalformedRecord)
+    assert caught.value.line == int(expected.split(":")[0].split()[1])
 
 
 class TestParallelMap:

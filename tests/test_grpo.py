@@ -349,6 +349,15 @@ class TestGrpoStep:
         with pytest.raises(ConfigError, match=f"epochs must be >= 1, got {epochs}"):
             GrpoConfig(epochs=epochs)
 
+    @pytest.mark.parametrize(
+        "field,value,rule",
+        [("learning_rate", 0.0, "> 0"), ("learning_rate", -4.0, "> 0"), ("learning_rate", float("nan"), "> 0"),
+         ("learning_rate", float("inf"), "> 0"), ("beta", float("inf"), ">= 0"), ("beta", float("nan"), ">= 0")],
+    )
+    def test_step_settings_must_be_finite(self, field, value, rule):
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number {rule}, got"):
+            GrpoConfig(**{field: value})
+
     def test_empty_batch_rejected(self):
         policy = onehot_policy()
         with pytest.raises(ConfigError):
