@@ -64,7 +64,7 @@ from .windows import (
     apply_strategy,
     build_all_windows,
     distill_sft,
-    make_llm_judge,
+    judge_windows,
 )
 
 BUILTIN_RANKERS = ("oracle", "identity", "noisy", "endpoint")
@@ -93,10 +93,12 @@ def _command(*paths: str):
 
     def decorate(fn):
         @click.option("--seed", type=int, default=0)
-        @click.option("--config", "config_path", type=click.Path(), default=None)
+        @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None)
         @functools.wraps(fn)
         def wrapper(*args, config_path, **kwargs):
             try:
+                if "out" in paths and not kwargs["out_path"].name:  # click reads an empty flag as Path(".")
+                    raise ConfigError("missing required path for out")
                 config = _load_object(config_path)
                 _check_keys(config, "top-level", CONFIG_SECTIONS)
                 code = fn(*args, config=config, **kwargs)
@@ -107,7 +109,7 @@ def _command(*paths: str):
 
         for name in reversed(paths):
             required = name in ("out", "windows", "reranked")
-            wrapper = click.option(f"--{name}", f"{name}_path", type=click.Path(path_type=Path), required=required)(wrapper)
+            wrapper = click.option(f"--{name}", f"{name}_path", type=click.Path(dir_okay=False, path_type=Path), required=required)(wrapper)
         return wrapper
 
     return decorate
@@ -247,7 +249,7 @@ def main():
 
 
 @main.command("gen-synthetic")
-@click.option("--out-dir", required=True, type=click.Path(path_type=Path))
+@click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--n-jobs", type=int, default=None, help="Number of job posts.")
 @click.option("--n-background", type=int, default=None, help="Background resume count.")
 @_command()
@@ -329,19 +331,18 @@ def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
     windows = _windows(windows_path, corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
-    judge, workers = None, 1
-    if corpus is not None:
+    failed = ""
+    if corpus is None:
+        kept = apply_strategy(windows, strategy, child_rng(seed, f"filter:{strategy}"), cfg=cfg)
+    else:
         client = ChatCompletionsClient(_endpoint_from_config(config))
-        judge, workers = make_llm_judge(client, corpus), _workers(None, client)
-
-    rng = child_rng(seed, f"filter:{strategy}")
-    kept = apply_strategy(windows, strategy, rng, cfg=cfg, judge=judge, max_workers=workers)
+        kept, failed_ids = judge_windows(windows, client, corpus, _workers(None, client))
+        failed = f" ({len(failed_ids)} kept after judge failure)"
     write_jsonl((w.to_record() for w in kept), out_path)
     effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
     if strategy == "subsample_hard":
         effective["subsample_keep"] = cfg.subsample_keep
     _write_meta(out_path, effective, seed)
-    failed = f" ({len(judge.failed)} kept after judge failure)" if judge else ""
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
     return 0
 
@@ -514,7 +515,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 
 
 @main.command("simulate-grpo")
-@click.option("--out-dir", required=True, type=click.Path(path_type=Path))
+@click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--reward", type=click.Choice(REWARD_MODES), default=GrpoConfig.reward, show_default=True)
 @click.option("--features", type=click.Choice(("match", "noise")), default="match", show_default=True)
 @click.option("--group-size", type=int, default=GrpoConfig.group_size, show_default=True)

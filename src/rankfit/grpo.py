@@ -267,28 +267,6 @@ def group_step_probs(policy: PLPolicy, window: Window, group: RewardGroup) -> li
     return np.exp(logp).tolist()
 
 
-def surrogate(
-    policy: PLPolicy,
-    ref: PLPolicy,
-    window: Window,
-    group: RewardGroup,
-    cfg: GrpoConfig,
-    denoms: list[list[float]],
-) -> float:
-    """Value of the maximized objective for one window, given a frozen group.
-
-    (1/|G|) sum_i adv_i * (1/(k-1)) sum_t pi_theta(step)/denom - beta * KL.
-    ``denoms`` holds the sampling-time step probabilities.
-    """
-    return surrogate_grad(policy, ref, window, group, cfg, denoms)[0]
-
-
-def _kl(policy, ref, window, group, cfg) -> tuple[float, np.ndarray]:
-    if cfg.kl_mode == "exact":
-        return kl_exact(policy, ref, window)
-    return kl_sampled(policy, ref, window, [o for o, _ in group.samples])
-
-
 def surrogate_grad(
     policy: PLPolicy,
     ref: PLPolicy,
@@ -297,19 +275,25 @@ def surrogate_grad(
     cfg: GrpoConfig,
     denoms: list[list[float]] | None = None,
 ) -> tuple[float, np.ndarray, float]:
-    """(value, gradient, kl) of the surrogate for one window.
+    """(value, gradient, kl) of the maximized objective for one window, given a frozen group.
 
+    The value is (1/|G|) sum_i adv_i * (1/(k-1)) sum_t pi_theta(step)/denom
+    - beta * KL, where ``denoms`` holds the sampling-time step probabilities.
     With ``denoms`` omitted the call is on-policy: denominators equal the
     current step probabilities, every ratio is 1, and the policy-gradient part
     reduces to the advantage-weighted score function.
     """
     import numpy as np
-    logp, grads = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
+    orders = [o for o, _ in group.samples]
+    logp, grads = _policy_steps(policy, window, _perm_indices(window, orders))
     probs = np.exp(logp)
     ratios = probs / (probs if denoms is None else np.asarray(denoms, dtype=float))
     # ratios.size = |G| * (k-1): the group mean times the length normalization
     weights = np.asarray(group.advantages)[:, None] * ratios / ratios.size
-    kl, kl_grad = _kl(policy, ref, window, group, cfg)
+    if cfg.kl_mode == "exact":
+        kl, kl_grad = kl_exact(policy, ref, window)
+    else:
+        kl, kl_grad = kl_sampled(policy, ref, window, orders)
     grad = weights.reshape(-1) @ grads.reshape(weights.size, -1)
     return float(weights.sum()) - cfg.beta * kl, grad - cfg.beta * kl_grad, kl
 
@@ -488,15 +472,15 @@ def match_features(corpus: Mapping[str, Document]) -> tuple[FeatureFn, list[str]
     return fn, ["skill_overlap", "bias"]
 
 
-def noise_features(seed: int, dim: int = 2) -> tuple[FeatureFn, list[str]]:
+def noise_features(seed: int) -> tuple[FeatureFn, list[str]]:
     """Pure-noise features, independent of the gold label; the null task."""
     import numpy as np
 
     def fn(window: Window, cid: str) -> np.ndarray:
         rng = child_rng(seed, f"feat:{window.window_id}:{cid}")
-        return np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
+        return np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
 
-    return fn, [f"noise_{i}" for i in range(dim)]
+    return fn, ["noise_0", "noise_1"]
 
 
 def make_policy(feature_fn: FeatureFn, feature_names: Sequence[str]) -> PLPolicy:

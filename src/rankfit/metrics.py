@@ -116,7 +116,3 @@ class RewardGroup:
     @property
     def rewards(self) -> list[float]:
         return [reward for _, reward in self.samples]
-
-    @property
-    def mean_reward(self) -> float:
-        return sum(self.rewards) / len(self.samples)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import ACCEPTED, Document, RankedPool, parallel_map
 from .errors import ConfigError, MissingDifficulty, check_fields
@@ -39,7 +39,8 @@ SKIP_NO_POSITIVE = "no_positive"
 SKIP_TOO_MANY_POSITIVES = "too_many_positives"
 SKIP_TOO_FEW_NEGATIVES = "too_few_negatives"
 
-STRATEGIES = ("all", "remove_hard", "subsample_hard", "hint_augment", "llm_filter")
+DIFFICULTY_STRATEGIES = ("all", "remove_hard", "subsample_hard", "hint_augment")
+STRATEGIES = (*DIFFICULTY_STRATEGIES, "llm_filter")
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,8 @@ def apply_strategy(
     strategy: str,
     rng: random.Random,
     cfg: PipelineConfig | None = None,
-    judge: Callable[[Window], bool] | None = None,
-    max_workers: int = 1,
 ) -> list[Window]:
-    """Apply one of the data-filtering strategies to annotated windows.
+    """Apply one of the difficulty strategies to annotated windows.
 
     * all            -- identity.
     * remove_hard    -- keep windows with r_bar >= hard_threshold.
@@ -283,23 +282,14 @@ def apply_strategy(
                         fraction of the hard ones (input order preserved).
     * hint_augment   -- keep everything, attaching a gold-position hint to
                         hard windows only.
-    * llm_filter     -- keep windows the judge approves (difficulty not used),
-                        judging up to ``max_workers`` windows at a time. A
-                        judge's ``failed`` list is put in input order.
+
+    The fifth strategy, llm_filter, is ``judge_windows``.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy not in DIFFICULTY_STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {DIFFICULTY_STRATEGIES}")
     if strategy == "all":
         return list(windows)
     cfg = cfg or PipelineConfig()
-    if strategy == "llm_filter":
-        if judge is None:
-            raise ConfigError("llm_filter requires a judge")
-        keep = parallel_map(judge, windows, max_workers)
-        if hasattr(judge, "failed"):  # recorded as the judge's calls finished
-            position = {w.window_id: i for i, w in enumerate(windows)}
-            judge.failed.sort(key=position.__getitem__)
-        return [w for w, kept in zip(windows, keep) if kept]
 
     for w in windows:
         if w.r_bar is None:
@@ -327,26 +317,32 @@ def apply_strategy(
     ]
 
 
-def make_llm_judge(client: ChatCompletionsClient, corpus: Mapping[str, Document]) -> Callable[[Window], bool]:
-    """LLM-as-a-judge for llm_filter: keeps windows whose gold looks clearly best.
+def judge_windows(
+    windows: Sequence[Window],
+    client: ChatCompletionsClient,
+    corpus: Mapping[str, Document],
+    max_workers: int = 1,
+) -> tuple[list[Window], list[str]]:
+    """llm_filter: (kept windows, ids of those kept after a failed call).
 
-    Judge failures keep the window (dropping data on a transport hiccup would
-    silently shrink the training set); the judge's ``failed`` list collects
-    the ids of the windows kept that way.
+    An LLM judge says whether each window's gold looks clearly best
+    (difficulty is not used), up to ``max_workers`` windows at a time. A
+    verdict is True (keep), False (drop) or None for a failed call, which
+    keeps the window: dropping data on a transport hiccup would silently
+    shrink the training set. Both lists follow input order.
     """
-    failed: list[str] = []
 
-    def judge(window: Window) -> bool:
+    def verdict(window: Window) -> bool | None:
         req = window_request(window, corpus, "judge", SamplingParams())
         system, user = build_judge_prompt(req, window.gold_slot())
         try:
             return client.complete(system, user, req.sampling, parse_judge_answer)[1]
         except (TransportFailure, MalformedAnswer):
-            failed.append(window.window_id)
-            return True
+            return None
 
-    judge.failed = failed
-    return judge
+    verdicts = parallel_map(verdict, windows, max_workers)
+    kept = [w for w, v in zip(windows, verdicts) if v is not False]
+    return kept, [w.window_id for w, v in zip(windows, verdicts) if v is None]
 
 
 @dataclass

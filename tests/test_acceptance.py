@@ -30,7 +30,6 @@ from rankfit.grpo import (
     match_features,
     noise_features,
     pl_log_prob,
-    surrogate,
     surrogate_grad,
     train,
     window_reward,
@@ -296,7 +295,7 @@ def test_criterion_7_grpo_simulator_numerics():
         def value_at(theta_list):
             probe = policy.clone()
             probe.theta = np.asarray(theta_list, dtype=float)
-            return surrogate(probe, ref, window, group, cfg, denoms)
+            return surrogate_grad(probe, ref, window, group, cfg, denoms)[0]
 
         _, grad, _ = surrogate_grad(policy, ref, window, group, cfg, denoms=denoms)
         fd = np.asarray(central_difference_grad(value_at, list(policy.theta), h=1e-5))

@@ -792,6 +792,53 @@ def test_empty_input_path_exits_2_naming_it(command, name, input_files, runner, 
     assert f"error: missing required path for {name}" in result.output
 
 
+# (command, the option given the wrong kind of path, what it is given (a directory, a file or an empty string), click's or rankfit's message)
+_WRONG_KIND_OF_PATH = [
+    ("rerank", "out", "dir", "Invalid value for '--out': File '{path}' is a directory"),
+    ("rerank", "corpus", "dir", "Invalid value for '--corpus': File '{path}' is a directory"),
+    ("rerank", "out", "empty", "error: missing required path for out"),
+    ("build-windows", "config", "dir", "Invalid value for '--config': File '{path}' is a directory"),
+    ("gen-synthetic", "out-dir", "file", "Invalid value for '--out-dir': Directory '{path}' is a file"),
+    ("simulate-grpo", "out-dir", "file", "Invalid value for '--out-dir': Directory '{path}' is a file"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,given,message", _WRONG_KIND_OF_PATH, ids=[f"{c}-{o}-{g}" for c, o, g, _ in _WRONG_KIND_OF_PATH]
+)
+def test_wrong_kind_of_path_exits_2_before_any_work(command, option, given, message, input_files, runner, tmp_path, monkeypatch):
+    """A directory as a file option, a file as --out-dir or an empty --out stops the command before it runs."""
+    import rankfit.cli
+
+    files, _ = input_files
+    reranked = []
+    monkeypatch.setattr(rankfit.cli, "rerank_pools", lambda pools, *a, **k: reranked.extend(pools) or [])
+    work = tmp_path / "work"  # the working directory, where an empty --out would write
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if given == "dir":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    elif given == "file":
+        path = tmp_path / "a-file"
+        path.write_text("keep me")
+    else:
+        path = ""
+    if command == "gen-synthetic":
+        args = ["gen-synthetic", "--n-jobs", "5", "--n-background", "20"]
+    else:
+        args = _command_args(command, files, tmp_path / "out")
+    result = invoke(runner, [*args, f"--{option}", str(path)])
+    assert result.exit_code == 2, result.output
+    assert message.format(path=path) in result.output
+    assert reranked == []
+    assert not (tmp_path / "out").exists() and list(work.iterdir()) == []
+    if given == "dir":
+        assert list(path.iterdir()) == []
+    elif given == "file":
+        assert path.read_text() == "keep me"
+
+
 @pytest.mark.parametrize(
     "config,expected",
     [

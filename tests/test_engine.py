@@ -106,6 +106,18 @@ class TestRerankPool:
         with pytest.raises(ConfigError):
             rerank_pool(pool, IdentityRanker(), EngineConfig(), corpus_for(pool))
 
+    def test_pool_size_mismatch_names_both_sizes(self):
+        pool = make_pool(n=15)
+        with pytest.raises(ConfigError, match="pool 'j1' has 15 candidates, engine configured for 20"):
+            rerank_pool(pool, IdentityRanker(), EngineConfig(), corpus_for(pool))
+
+    def test_job_missing_from_corpus(self):
+        pool = make_pool()
+        corpus = corpus_for(pool)
+        del corpus[pool.job_id]
+        with pytest.raises(ConfigError, match="job 'j1' missing from corpus"):
+            rerank_pool(pool, IdentityRanker(), EngineConfig(), corpus)
+
     def test_degraded_response_absorbed_as_identity(self):
         class AlwaysDegraded:
             def __call__(self, req):

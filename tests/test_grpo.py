@@ -18,7 +18,6 @@ from rankfit.grpo import (
     match_features,
     pl_log_prob,
     sample_group,
-    surrogate,
     surrogate_grad,
     group_step_probs,
     train,
@@ -256,7 +255,7 @@ class TestGradientCorrectness:
 
             def value_at(theta_list):
                 probe = onehot_policy(np.asarray(theta_list))
-                return surrogate(probe, ref, window, group, cfg, denoms)
+                return surrogate_grad(probe, ref, window, group, cfg, denoms)[0]
 
             _, grad, _ = surrogate_grad(policy, ref, window, group, cfg, denoms=denoms)
             fd = np.asarray(central_difference_grad(value_at, list(policy.theta), h=1e-5))
@@ -275,7 +274,7 @@ class TestGradientCorrectness:
 
         def value_at(theta_list):
             probe = onehot_policy(np.asarray(theta_list))
-            return surrogate(probe, ref, window, group, cfg, denoms)
+            return surrogate_grad(probe, ref, window, group, cfg, denoms)[0]
 
         _, grad, _ = surrogate_grad(policy, ref, window, group, cfg, denoms=denoms)
         fd = np.asarray(central_difference_grad(value_at, list(policy.theta), h=1e-5))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankfit.errors import EmptyGroup, InvalidK, InvalidNdcg, NoPositives, UnknownCandidate
 from rankfit.metrics import (
+    RewardGroup,
     dcg,
     group_advantages,
     ndcg,
@@ -212,3 +213,10 @@ class TestGroupAdvantages:
         shifted = group_advantages([r + shift for r in rewards])
         for a, b in zip(base, shifted):
             assert a == pytest.approx(b, abs=1e-6)
+
+
+class TestRewardGroup:
+    def test_samples_and_advantages_must_pair_up(self):
+        samples = [(("a", "b"), 1.0), (("b", "a"), 0.0)]
+        with pytest.raises(ValueError, match="group w1: 2 samples but 1 advantages"):
+            RewardGroup(window_id="w1", samples=samples, advantages=[0.0])

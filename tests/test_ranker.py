@@ -34,7 +34,7 @@ from rankfit.ranker import (
     parse_answer,
     parse_judge_answer,
 )
-from rankfit.windows import apply_strategy, distill_sft, make_llm_judge, window_request
+from rankfit.windows import distill_sft, judge_windows, window_request
 
 from conftest import ChatHandler, corpus_for_windows, make_job, make_resume, make_window, run_rankfit
 
@@ -686,7 +686,7 @@ class TestEndpointFanOut:
                 w, corpus, "teacher", SamplingParams()))[1]).startswith(f"<answer> [{w.gold_slot()}]")
         ]
 
-    def test_judge_fills_max_concurrency_and_lists_failures_in_input_order(self, server, windows, rng):
+    def test_judge_fills_max_concurrency_and_lists_failures_in_input_order(self, server, windows):
         corpus = corpus_for_windows(windows)
         verdicts = self._judge_verdicts(windows, corpus)
         failed = [w.window_id for w, v in zip(windows, verdicts) if "maybe" in v]
@@ -694,11 +694,11 @@ class TestEndpointFanOut:
         assert len(failed) >= 2 and len(kept) < len(windows)
         for workers in (1, 4):
             server.peak, server.hits = 0, 0
-            judge = make_llm_judge(ChatCompletionsClient(self._cfg(server, workers)), corpus)
-            result = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=workers)
+            client = ChatCompletionsClient(self._cfg(server, workers))
+            result, listed = judge_windows(windows, client, corpus, max_workers=workers)
             assert server.peak == workers
             assert [w.window_id for w in result] == kept
-            assert judge.failed == failed
+            assert listed == failed
             assert server.hits == len(windows) + len(failed)  # one retry per unusable verdict
 
     def _cli_inputs(self, server, windows, tmp_path, max_concurrency):

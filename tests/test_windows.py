@@ -20,6 +20,7 @@ from rankfit.windows import (
     build_all_windows,
     build_windows,
     distill_sft,
+    judge_windows,
     partition_pool,
 )
 
@@ -303,15 +304,22 @@ class TestApplyStrategy:
             with pytest.raises(MissingDifficulty):
                 apply_strategy(windows, strategy, rng)
 
-    def test_llm_filter_uses_judge(self, rng):
+    def test_llm_filter_uses_judge(self):
         windows = self._windows()
-        kept = apply_strategy(
-            windows, "llm_filter", rng, judge=lambda w: w.window_id.endswith("0")
-        )
+
+        class EndsInZeroClient:
+            """Says yes to the windows whose id ends in 0."""
+
+            def complete(self, system, user, sampling, parse):
+                return "", parse("<answer> yes </answer>" if "0-gold" in user else "<answer> no </answer>"), 0
+
+        kept, failed = judge_windows(windows, EndsInZeroClient(), corpus_for_windows(windows))
         assert [w.window_id for w in kept] == ["j1/h0", "j1/e0"]
+        assert failed == []
 
     def test_llm_filter_requires_judge(self, rng):
-        with pytest.raises(ConfigError):
+        """llm_filter is judged by judge_windows, not applied by apply_strategy."""
+        with pytest.raises(ConfigError, match="unknown strategy 'llm_filter'"):
             apply_strategy(self._windows(), "llm_filter", rng)
 
     def test_unknown_strategy(self, rng):
@@ -321,8 +329,8 @@ class TestApplyStrategy:
 
 class TestLlmJudge:
     def _judge_with(self, replies):
+        """judge_windows over one window, against a client that gets ``replies`` in turn."""
         from rankfit.ranker import ChatCompletionsClient, EndpointConfig
-        from rankfit.windows import make_llm_judge
 
         calls = {"n": 0}
 
@@ -347,27 +355,26 @@ class TestLlmJudge:
         )
         window = make_window(gold_slot=2)
         corpus = corpus_for_windows([window])
-        return make_llm_judge(client, corpus), window
+        return judge_windows([window], client, corpus), window
 
     def test_yes_keeps(self):
-        judge, window = self._judge_with(["<answer> yes </answer>"])
-        assert judge(window) is True
+        result, window = self._judge_with(["<answer> yes </answer>"])
+        assert result == ([window], [])
 
     def test_no_drops(self):
-        judge, window = self._judge_with(["<answer> no </answer>"])
-        assert judge(window) is False
+        result, window = self._judge_with(["<answer> no </answer>"])
+        assert result == ([], [])
 
     def test_transport_failure_keeps_window(self):
-        judge, window = self._judge_with([None, None, None])
-        assert judge(window) is True
+        result, window = self._judge_with([None, None, None])
+        assert result == ([window], [window.window_id])
 
     def test_retries_through_malformed_reply(self):
-        judge, window = self._judge_with(["gibberish", "<answer> no </answer>"])
-        assert judge(window) is False
+        result, window = self._judge_with(["gibberish", "<answer> no </answer>"])
+        assert result == ([], [])
 
-    def test_windows_kept_after_judge_failure_are_counted(self, rng):
+    def test_windows_kept_after_judge_failure_are_counted(self):
         from rankfit.ranker import TransportFailure
-        from rankfit.windows import make_llm_judge
 
         windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(6)]
         failing = {"j1/w1": TransportFailure("down"), "j1/w4": MalformedAnswer("no answer block")}
@@ -379,17 +386,15 @@ class TestLlmJudge:
                         raise error
                 return "", parse("<answer> no </answer>"), 0
 
-        judge = make_llm_judge(FailingClient(), corpus_for_windows(windows))
-        kept = apply_strategy(windows, "llm_filter", rng, judge=judge)
+        kept, failed = judge_windows(windows, FailingClient(), corpus_for_windows(windows))
         assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
-        assert judge.failed == ["j1/w1", "j1/w4"]
+        assert failed == ["j1/w1", "j1/w4"]
 
-    def test_failures_judged_in_parallel_are_listed_in_input_order(self, rng):
-        """The first failing window fails last; ``failed`` still follows the input."""
+    def test_failures_judged_in_parallel_are_listed_in_input_order(self):
+        """The first failing window fails last; the failed ids still follow the input."""
         import time
 
         from rankfit.ranker import TransportFailure
-        from rankfit.windows import make_llm_judge
 
         windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(6)]
         delays = {"j1/w1": 0.3, "j1/w4": 0.0}
@@ -402,17 +407,15 @@ class TestLlmJudge:
                         raise TransportFailure("down")
                 return "", parse("<answer> no </answer>"), 0
 
-        judge = make_llm_judge(SlowFailingClient(), corpus_for_windows(windows))
-        kept = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=4)
+        kept, failed = judge_windows(windows, SlowFailingClient(), corpus_for_windows(windows), max_workers=4)
         assert [w.window_id for w in kept] == ["j1/w1", "j1/w4"]
-        assert judge.failed == ["j1/w1", "j1/w4"]
+        assert failed == ["j1/w1", "j1/w4"]
 
-    def test_many_threads_lose_no_failure(self, rng):
-        """Eight threads, with a short switch interval, record every failure once, in input order."""
+    def test_many_threads_lose_no_failure(self):
+        """Eight threads, with a short switch interval, report every failure once, in input order."""
         import sys
 
         from rankfit.ranker import TransportFailure
-        from rankfit.windows import make_llm_judge
 
         windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(200)]
 
@@ -422,23 +425,22 @@ class TestLlmJudge:
                     raise TransportFailure("down")
                 return "", parse("<answer> no </answer>"), 0
 
-        judge = make_llm_judge(EveryThirdFails(), corpus_for_windows(windows))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            kept = apply_strategy(windows, "llm_filter", rng, judge=judge, max_workers=8)
+            kept, failed = judge_windows(windows, EveryThirdFails(), corpus_for_windows(windows), max_workers=8)
         finally:
             sys.setswitchinterval(interval)
         expected = [f"j1/w{i}" for i in range(0, 200, 3)]
         assert [w.window_id for w in kept] == expected
-        assert judge.failed == expected
+        assert failed == expected
 
     def test_prompts_are_pinned(self):
         """sha256 of the judge's and the teacher's prompt strings for a hinted window, as the toolkit wrote them."""
         import hashlib
 
         from rankfit.ranker import SamplingParams, build_judge_prompt, build_prompt
-        from rankfit.windows import make_llm_judge, window_request
+        from rankfit.windows import window_request
 
         window = make_window(window_id="j7/w3", job_id="j7", gold_slot=3, hint="The accepted candidate is [3]")
         corpus = corpus_for_windows([window])
@@ -449,7 +451,7 @@ class TestLlmJudge:
                 seen.append((system, user, sampling))
                 return "", parse("<answer> yes </answer>"), 0
 
-        assert make_llm_judge(CapturingClient(), corpus)(window) is True
+        assert judge_windows([window], CapturingClient(), corpus) == ([window], [])
         system, user, sampling = seen[0]
         assert sampling == SamplingParams()
 
