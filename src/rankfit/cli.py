@@ -99,6 +99,9 @@ def _command(*paths: str):
             try:
                 if "out" in paths and not kwargs["out_path"].name:  # click reads an empty flag as Path(".")
                     raise ConfigError("missing required path for out")
+                for out in filter(None, (kwargs.get("out_path"), kwargs.get("out_dir"))):
+                    if any(parent.exists() and not parent.is_dir() for parent in out.parents):
+                        raise ConfigError(f"cannot write {out}: a parent path is not a directory")
                 config = _load_object(config_path)
                 _check_keys(config, "top-level", CONFIG_SECTIONS)
                 code = fn(*args, config=config, **kwargs)

@@ -16,9 +16,8 @@ steps plays the role of one token, and length normalization divides by k-1.
 The ratio's denominator is the sampling-time probability held constant, so
 on-policy the ratio is 1 and its gradient is the score function.
 
-KL comes in two estimators: "exact" enumerates all k! orderings (the default;
-exactly zero with zero gradient at theta = theta_ref), and "sampled" is the
-standard per-sample log-ratio average over the group.
+The KL term is exact: it enumerates all k! orderings, so it is exactly zero
+with zero gradient at theta = theta_ref.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .synthetic import match_score
 from .windows import Window
 
 REWARD_MODES = ("rearank", "rankr1")
-KL_MODES = ("exact", "sampled")
 EVAL_SAMPLES_PER_WINDOW = 8  # Monte-Carlo draws per window in evaluate_mean_reward
 
 FeatureFn = Callable[[Window, str], "np.ndarray"]
@@ -74,17 +72,14 @@ class GrpoConfig:
     epochs: int = 2
     batch_size: int = 16
     reward: str = "rearank"
-    kl_mode: str = "exact"
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ("group_size", "batch_size", "epochs"), int, lambda v: v >= 1, ">= 1")
+        check_fields(self, ("group_size", "batch_size", "epochs"), int, lambda v: v >= 1, "an integer >= 1")
         check_fields(self, ("beta",), float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
         check_fields(self, ("learning_rate",), float, lambda v: 0 < v < float("inf"), "a finite number > 0")
         if self.reward not in REWARD_MODES:
             raise ConfigError(f"reward must be one of {REWARD_MODES}")
-        if self.kl_mode not in KL_MODES:
-            raise ConfigError(f"kl_mode must be one of {KL_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ def sample_group(policy: PLPolicy, window: Window, cfg: GrpoConfig, rng: random.
 
 
 # ---------------------------------------------------------------------------
-# KL estimators
+# KL term
 # ---------------------------------------------------------------------------
 
 
@@ -242,17 +237,6 @@ def kl_exact(policy: PLPolicy, ref: PLPolicy, window: Window) -> tuple[float, np
     diff = logp - ref_logp.sum(axis=1)
     p = np.exp(logp)
     return float(p @ diff), (p * (diff + 1.0)) @ grads.sum(axis=1)
-
-
-def kl_sampled(
-    policy: PLPolicy, ref: PLPolicy, window: Window, orderings: Sequence[Sequence[str]]
-) -> tuple[float, np.ndarray]:
-    """Per-sample log-ratio estimator averaged over the group, as a function of theta."""
-    import numpy as np
-    perms = _perm_indices(window, orderings)
-    logp, grads = _policy_steps(policy, window, perms)
-    ref_logp, _ = _policy_steps(ref, window, perms)
-    return float(np.mean(logp.sum(axis=1) - ref_logp.sum(axis=1))), grads.sum(axis=(0, 1)) / len(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +268,12 @@ def surrogate_grad(
     reduces to the advantage-weighted score function.
     """
     import numpy as np
-    orders = [o for o, _ in group.samples]
-    logp, grads = _policy_steps(policy, window, _perm_indices(window, orders))
+    logp, grads = _policy_steps(policy, window, _perm_indices(window, [o for o, _ in group.samples]))
     probs = np.exp(logp)
     ratios = probs / (probs if denoms is None else np.asarray(denoms, dtype=float))
     # ratios.size = |G| * (k-1): the group mean times the length normalization
     weights = np.asarray(group.advantages)[:, None] * ratios / ratios.size
-    if cfg.kl_mode == "exact":
-        kl, kl_grad = kl_exact(policy, ref, window)
-    else:
-        kl, kl_grad = kl_sampled(policy, ref, window, orders)
+    kl, kl_grad = kl_exact(policy, ref, window)
     grad = weights.reshape(-1) @ grads.reshape(weights.size, -1)
     return float(weights.sum()) - cfg.beta * kl, grad - cfg.beta * kl_grad, kl
 

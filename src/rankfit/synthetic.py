@@ -57,7 +57,7 @@ class SyntheticConfig:
     def __post_init__(self):
         check_fields(self, ("n_jobs",), int, lambda v: v >= 1, "an integer >= 1")
         # a short pool holds pool_size // 2 to pool_size - 1 resumes
-        check_fields(self, ("pool_size",), int, lambda v: v >= 2, ">= 2")
+        check_fields(self, ("pool_size",), int, lambda v: v >= 2, "an integer >= 2")
         check_fields(self, ("n_background",), int, lambda v: v >= self.pool_size, f"an integer >= pool_size ({self.pool_size})")
         check_fields(self, ("frac_no_positive", "frac_many_positives", "frac_short_pool"), float, lambda v: v >= 0, ">= 0")
         check_fields(self, ("retrieval_noise",), float, lambda v: v >= 0, "a number >= 0")

@@ -286,7 +286,7 @@ def test_criterion_7_grpo_simulator_numerics():
 
     # analytic gradient vs central finite differences over 100 random triples
     rng = np.random.default_rng(1234)
-    cfg = GrpoConfig(beta=0.01, kl_mode="exact")
+    cfg = GrpoConfig(beta=0.01)
     worst = 0.0
     for _ in range(100):
         policy, ref, window, group = _gradcheck_triple(rng)

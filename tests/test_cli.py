@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from rankfit.cli import main
 from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, write_corpus, write_jsonl, write_labels
 from rankfit.engine import EngineConfig, evaluate_run
+from rankfit.grpo import GrpoConfig
 from rankfit.ranker import NoisyOracleRanker
 
 from conftest import ChatHandler, make_job, make_resume, make_window, run_rankfit
@@ -707,7 +708,7 @@ class TestSimulateGrpoCli:
             ],
         )
         assert result.exit_code == 2, result.output
-        assert "error: batch_size must be >= 1, got 0" in result.output
+        assert "error: batch_size must be an integer >= 1, got 0" in result.output
         assert not (tmp_path / "grpo-zero").exists()
 
     def test_empty_windows_file_exit_2(self, dataset, runner, tmp_path):
@@ -792,7 +793,7 @@ def test_empty_input_path_exits_2_naming_it(command, name, input_files, runner, 
     assert f"error: missing required path for {name}" in result.output
 
 
-# (command, the option given the wrong kind of path, what it is given (a directory, a file or an empty string), click's or rankfit's message)
+# (command, the option given the wrong kind of path, what it is given (a directory, a file, a path under a file or an empty string), click's or rankfit's message)
 _WRONG_KIND_OF_PATH = [
     ("rerank", "out", "dir", "Invalid value for '--out': File '{path}' is a directory"),
     ("rerank", "corpus", "dir", "Invalid value for '--corpus': File '{path}' is a directory"),
@@ -800,6 +801,9 @@ _WRONG_KIND_OF_PATH = [
     ("build-windows", "config", "dir", "Invalid value for '--config': File '{path}' is a directory"),
     ("gen-synthetic", "out-dir", "file", "Invalid value for '--out-dir': Directory '{path}' is a file"),
     ("simulate-grpo", "out-dir", "file", "Invalid value for '--out-dir': Directory '{path}' is a file"),
+    ("rerank", "out", "file/r.jsonl", "error: cannot write {path}: a parent path is not a directory"),
+    ("gen-synthetic", "out-dir", "file/x", "error: cannot write {path}: a parent path is not a directory"),
+    ("simulate-grpo", "out-dir", "file/g", "error: cannot write {path}: a parent path is not a directory"),
 ]
 
 
@@ -807,7 +811,7 @@ _WRONG_KIND_OF_PATH = [
     "command,option,given,message", _WRONG_KIND_OF_PATH, ids=[f"{c}-{o}-{g}" for c, o, g, _ in _WRONG_KIND_OF_PATH]
 )
 def test_wrong_kind_of_path_exits_2_before_any_work(command, option, given, message, input_files, runner, tmp_path, monkeypatch):
-    """A directory as a file option, a file as --out-dir or an empty --out stops the command before it runs."""
+    """A directory as a file option, a file as --out-dir, an output under a file or an empty --out stops the command before it runs."""
     import rankfit.cli
 
     files, _ = input_files
@@ -816,12 +820,13 @@ def test_wrong_kind_of_path_exits_2_before_any_work(command, option, given, mess
     work = tmp_path / "work"  # the working directory, where an empty --out would write
     work.mkdir()
     monkeypatch.chdir(work)
-    if given == "dir":
+    kind, _, leaf = given.partition("/")  # "file/x": the path x under a file
+    if kind == "dir":
         path = tmp_path / "a-directory"
         path.mkdir()
-    elif given == "file":
-        path = tmp_path / "a-file"
-        path.write_text("keep me")
+    elif kind == "file":
+        (tmp_path / "a-file").write_text("keep me")
+        path = tmp_path / "a-file" / leaf
     else:
         path = ""
     if command == "gen-synthetic":
@@ -833,10 +838,10 @@ def test_wrong_kind_of_path_exits_2_before_any_work(command, option, given, mess
     assert message.format(path=path) in result.output
     assert reranked == []
     assert not (tmp_path / "out").exists() and list(work.iterdir()) == []
-    if given == "dir":
+    if kind == "dir":
         assert list(path.iterdir()) == []
-    elif given == "file":
-        assert path.read_text() == "keep me"
+    elif kind == "file":
+        assert (tmp_path / "a-file").read_text() == "keep me"
 
 
 @pytest.mark.parametrize(
@@ -942,8 +947,8 @@ def _annotated(files, tmp_path):
          "subsample_keep must be a number in [0, 1], got 1.5"),
         (["gen-synthetic"], {"synthetic": {"frac_no_positive": -0.2}},
          "frac_no_positive must be >= 0, got -0.2"),
-        (["gen-synthetic"], {"synthetic": {"pool_size": 0}}, "pool_size must be >= 2, got 0"),
-        (["gen-synthetic"], {"synthetic": {"pool_size": 1}}, "pool_size must be >= 2, got 1"),
+        (["gen-synthetic"], {"synthetic": {"pool_size": 0}}, "pool_size must be an integer >= 2, got 0"),
+        (["gen-synthetic"], {"synthetic": {"pool_size": 1}}, "pool_size must be an integer >= 2, got 1"),
         (["annotate", "--ranker", "noisy"], {"ranker": {"p_flip": "0.3"}},
          "unknown ranker config keys: ['p_flip']"),
         # seeds come from --seed alone
@@ -957,6 +962,7 @@ def _annotated(files, tmp_path):
         (["gen-synthetic"], {"synthetic": {"n_jobs": 5.5}}, "n_jobs must be an integer >= 1, got 5.5"),
         (["gen-synthetic"], {"synthetic": {"n_jobs": "5"}}, "n_jobs must be an integer >= 1, got '5'"),
         (["gen-synthetic"], {"synthetic": {"retrieval_noise": "x"}}, "retrieval_noise must be a number >= 0, got 'x'"),
+        (["gen-synthetic"], {"synthetic": {"pool_size": 2.5}}, "pool_size must be an integer >= 2, got 2.5"),
     ],
 )
 def test_config_value_out_of_range_exits_2(args, config, expected, input_files, runner, tmp_path):
@@ -1126,6 +1132,7 @@ def test_input_that_is_not_utf8_exits_2_naming_the_line(command, name, input_fil
         ("degraded_calls", -1, "degraded_calls must be an integer >= 0, got -1"),
         ("degraded_calls", 1.5, "degraded_calls must be an integer >= 0, got 1.5"),
         ("degraded_calls", True, "degraded_calls must be an integer >= 0, got True"),
+        ("job_id", "j-ghost", "reranked job 'j-ghost' not found in pools"),
     ],
 )
 def test_evaluate_rejects_malformed_reranked_row(key, value, message, input_files, runner, tmp_path):
@@ -1149,7 +1156,7 @@ def test_simulate_grpo_epochs_below_one_exits_2(epochs, input_files, runner, tmp
     files, _ = input_files
     result = invoke(runner, [*_command_args("simulate-grpo", files, tmp_path), "--epochs", epochs])
     assert result.exit_code == 2, result.output
-    assert f"error: epochs must be >= 1, got {epochs}" in result.output
+    assert f"error: epochs must be an integer >= 1, got {epochs}" in result.output
     assert not (tmp_path / "g").exists()
 
 
@@ -1265,3 +1272,77 @@ def test_ablate_rejects_a_bad_grid(grid, message, input_files, runner, tmp_path)
     assert result.exit_code == 2, result.output
     assert f"error: {message}" in result.output
     assert not (tmp_path / "ab.json").exists()
+
+
+def test_ablate_reports_a_grid_point_the_engine_refuses_and_runs_the_rest(input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args("ablate", files, tmp_path), "--grid", "4:5,4:2"])
+    assert result.exit_code == 0, result.output
+    assert (
+        "rejected {'k': 4, 's': 5, 't': 1}: need 1 <= stride < window_size <= pool_size, got s=5, k=4, N=20"
+        in result.stderr
+    )
+    report = json.loads((tmp_path / "ab.json").read_text())
+    assert [row["setting"] for row in report["rows"]] == [{"k": 4, "s": 2, "t": 1}]
+    assert [rej["setting"] for rej in report["rejected"]] == [{"k": 4, "s": 5, "t": 1}]
+
+
+@pytest.mark.parametrize("command,name", [("build-windows", "corpus"), ("rerank", "pools"), ("filter", "windows")])
+def test_input_line_that_is_not_an_object_exits_2_naming_the_line(command, name, input_files, runner, tmp_path):
+    files, _ = input_files
+    lines = files[name].read_text().splitlines(keepends=True)
+    bad = tmp_path / f"bad-{name}.jsonl"
+    bad.write_text("".join([*lines[:2], "[1, 2]\n", *lines[2:]]))
+    args = ["filter", "--strategy", "all", "--out", str(tmp_path / "f.jsonl")] if command == "filter" else _command_args(command, files, tmp_path)
+    result = invoke(runner, [*args, f"--{name}", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "error: line 3: record is not an object" in result.output
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"id": None}, "missing or empty 'id'"),
+        ({"kind": "person"}, "'kind' must be one of ('resume', 'job'), got 'person'"),
+        ({"fields": None}, "missing 'fields' list"),
+        ({"fields": [["title"]]}, "each field must be a [name, text] pair of strings"),
+        ({"fields": [["title", 5]]}, "each field must be a [name, text] pair of strings"),
+    ],
+)
+def test_malformed_corpus_record_exits_2_naming_the_line(change, message, input_files, runner, tmp_path):
+    files, _ = input_files
+    records = [json.loads(line) for line in files["corpus"].read_text().splitlines()]
+    records[1] = {key: value for key, value in {**records[1], **change}.items() if value is not None}
+    corpus = tmp_path / "bad-corpus.jsonl"
+    write_jsonl(records, corpus)
+    result = invoke(runner, [*_command_args("build-windows", files, tmp_path), "--corpus", str(corpus)])
+    assert result.exit_code == 2, result.output
+    assert f"error: line 2: {message}" in result.output
+    assert not (tmp_path / "w.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"job_id": 5}, "label needs string 'job_id' and 'resume_id'"),
+        ({"resume_id": ["r"]}, "label needs string 'job_id' and 'resume_id'"),
+        ({"y": 2}, "'y' must be 0 or 1, got 2"),
+        ({"y": "1"}, "'y' must be 0 or 1, got '1'"),
+    ],
+)
+def test_malformed_label_exits_2_naming_the_line(change, message, input_files, runner, tmp_path):
+    files, _ = input_files
+    records = [json.loads(line) for line in files["labels"].read_text().splitlines()]
+    records[1].update(change)
+    labels = tmp_path / "bad-labels.jsonl"
+    write_jsonl(records, labels)
+    result = invoke(runner, [*_command_args("rerank", files, tmp_path), "--labels", str(labels)])
+    assert result.exit_code == 2, result.output
+    assert f"error: line 2: {message}" in result.output
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_every_grpo_setting_is_a_simulate_grpo_option():
+    """A GrpoConfig field that only library callers could set fails here; the seed comes from --seed."""
+    options = {param.name for param in main.commands["simulate-grpo"].params}
+    assert sorted(set(GrpoConfig.__dataclass_fields__) - {"rng_seed"} - options) == []

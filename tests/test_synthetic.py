@@ -74,7 +74,7 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SyntheticConfig(n_background=5)
         for pool_size in (0, 1):  # a short pool would hold no candidate
-            with pytest.raises(ConfigError, match="pool_size must be >= 2"):
+            with pytest.raises(ConfigError, match="pool_size must be an integer >= 2"):
                 SyntheticConfig(pool_size=pool_size)
         with pytest.raises(ConfigError, match="frac_short_pool must be >= 0"):
             SyntheticConfig(frac_short_pool=-0.1)
