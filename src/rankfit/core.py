@@ -16,7 +16,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -30,10 +30,6 @@ from .errors import (
 KIND_RESUME = "resume"
 KIND_JOB = "job"
 _KINDS = (KIND_RESUME, KIND_JOB)
-
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-UNLABELED = "unlabeled"
 
 @dataclass(frozen=True)
 class Document:
@@ -56,25 +52,21 @@ class Label:
 
 @dataclass(frozen=True)
 class RankedPool:
-    """One job's retrieved top-N candidate ids in rank order, with labels.
+    """One job's retrieved top-N candidate ids in rank order, with its accepted ones.
 
-    ``labels`` maps every candidate id to accepted/rejected/unlabeled;
-    unlabeled candidates are treated as negatives downstream.
+    ``accepted_ids`` holds the candidates with a y=1 label; every other
+    candidate, rejected or unlabeled, is a negative.
     """
 
     job_id: str
     candidates: tuple[str, ...]
-    labels: Mapping[str, str] = field(default_factory=dict)
+    accepted_ids: frozenset[str] = frozenset()
 
     def relevance(self, ids: Sequence[str] | None = None) -> list[int]:
         """Binary relevance vector for ``ids`` (default: retrieval order)."""
         if ids is None:
             ids = self.candidates
-        return [1 if self.labels.get(cid) == ACCEPTED else 0 for cid in ids]
-
-    @property
-    def accepted_ids(self) -> frozenset[str]:
-        return frozenset(cid for cid, lab in self.labels.items() if lab == ACCEPTED)
+        return [1 if cid in self.accepted_ids else 0 for cid in ids]
 
 
 def render_document(doc: Document) -> str:
@@ -87,7 +79,7 @@ def render_document(doc: Document) -> str:
 
 
 def accepted_by_job(labels: Iterable[Label]) -> dict[str, frozenset[str]]:
-    """Index labels into {job_id: accepted resume ids}, for the reference rankers."""
+    """Index labels into {job_id: ids with a y=1 label}: the one rule for which labels accept."""
     acc: dict[str, set[str]] = {}
     for lab in labels:
         if lab.y == 1:
@@ -238,7 +230,7 @@ def load_labels(path: str | Path) -> list[Label]:
         job_id, resume_id, y = rec.get("job_id"), rec.get("resume_id"), rec.get("y")
         if not isinstance(job_id, str) or not isinstance(resume_id, str):
             raise MalformedRecord("label needs string 'job_id' and 'resume_id'", line=lineno)
-        if y not in (0, 1):
+        if type(y) is not int or y not in (0, 1):
             raise MalformedRecord(f"'y' must be 0 or 1, got {y!r}", line=lineno)
         key = (job_id, resume_id)
         if key in seen:
@@ -267,7 +259,7 @@ def load_pools(
 ) -> list[RankedPool]:
     """Load retrieval pools and join interaction labels onto them.
 
-    Candidates absent from the label table are marked unlabeled. With a
+    Each pool keeps the candidates ``accepted_by_job`` accepts. With a
     ``corpus``, each pool must pass ``check_in_corpus``. A pool with no
     candidates raises EmptyPool, and a job with two pools raises
     MalformedRecord.
@@ -291,19 +283,10 @@ def load_pools(
 def join_labels(
     pools: Iterable[tuple[str, Sequence[str]]], labels: Iterable[Label]
 ) -> list[RankedPool]:
-    """RankedPools from (job_id, candidates) pairs, every candidate labeled.
-
-    A candidate with a y=1 label for its job is accepted, one with y=0 is
-    rejected, and any other is unlabeled.
-    """
-    by_pair = {(l.job_id, l.resume_id): l.y for l in labels}
-    status = {1: ACCEPTED, 0: REJECTED}
+    """RankedPools from (job_id, candidates) pairs, each with its accepted candidates."""
+    accepted = accepted_by_job(labels)
     return [
-        RankedPool(
-            job_id=job_id,
-            candidates=tuple(candidates),
-            labels={cid: status.get(by_pair.get((job_id, cid)), UNLABELED) for cid in candidates},
-        )
+        RankedPool(job_id, tuple(candidates), accepted.get(job_id, frozenset()).intersection(candidates))
         for job_id, candidates in pools
     ]
 

@@ -294,6 +294,8 @@ class EndpointConfig:
             raise ConfigError(
                 f"endpoint base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
             )
+        check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
+        check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
         check_fields(self, ("max_retries", "max_concurrency"), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
         check_fields(self, ("timeout_s",), float, lambda v: v > 0, "a number > 0", "endpoint ")
         check_fields(self, ("retry_backoff_s",), float, lambda v: v >= 0, "a number >= 0", "endpoint ")

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, ACCEPTED, UNLABELED, join_labels
+from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, join_labels
 from .errors import ConfigError, check_fields
 from .seeding import child_rng
 
@@ -297,6 +297,5 @@ def make_eval_pools(
             )
             ids.append(rid)
         positive_rank = rng.randrange(pool_size)
-        pool_labels = {rid: ACCEPTED if i == positive_rank else UNLABELED for i, rid in enumerate(ids)}
-        pools.append(RankedPool(job_id=jid, candidates=tuple(ids), labels=pool_labels))
+        pools.append(RankedPool(jid, tuple(ids), frozenset({ids[positive_rank]})))
     return documents, pools

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .core import ACCEPTED, Document, RankedPool, parallel_map
+from .core import Document, RankedPool, parallel_map
 from .errors import ConfigError, MissingDifficulty, check_fields
 from .ranker import (
     ANNOTATION_SAMPLING,
@@ -102,6 +102,7 @@ class Window:
         is_perm = lambda v: all(type(i) is int for i in v) and sorted(v) == list(range(1, n + 1))
         check_fields(self, ("presented_order",), tuple, is_perm, f"a permutation of 1..{n}", where)
         check_fields(self, ("r_bar",), (int, float, type(None)), lambda v: v is None or 0 <= v <= 1, "null or a number in [0, 1]", where)
+        check_fields(self, ("hint",), (str, type(None)), lambda v: True, "null or a string", where)
         if len(set(self.candidate_ids)) != len(self.candidate_ids):
             raise ConfigError(f"{where}duplicate candidate ids")
         if self.candidate_ids.count(self.gold_id) != 1:
@@ -144,12 +145,12 @@ def partition_pool(pool: RankedPool, cfg: PipelineConfig) -> Partition | Skip:
 
     Skip reasons, checked in order: fewer than min_pool candidates, zero
     positives, m_max or more positives, fewer negatives than a window needs.
-    Unlabeled candidates count as negatives.
+    Rejected and unlabeled candidates both count as negatives.
     """
     if len(pool.candidates) < cfg.min_pool:
         return Skip(pool.job_id, SKIP_TOO_FEW_CANDIDATES)
-    positives = tuple(cid for cid in pool.candidates if pool.labels.get(cid) == ACCEPTED)
-    negatives = tuple(cid for cid in pool.candidates if pool.labels.get(cid) != ACCEPTED)
+    positives = tuple(cid for cid in pool.candidates if cid in pool.accepted_ids)
+    negatives = tuple(cid for cid in pool.candidates if cid not in pool.accepted_ids)
     if not positives:
         return Skip(pool.job_id, SKIP_NO_POSITIVE)
     if len(positives) >= cfg.m_max:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rankfit.core import ACCEPTED, UNLABELED, Document, KIND_JOB, KIND_RESUME, RankedPool
+from rankfit.core import Document, KIND_JOB, KIND_RESUME, RankedPool
 from rankfit.windows import Window
 
 
@@ -32,10 +32,8 @@ def make_job(jid, skills="python, sql, kafka"):
 def make_pool(job_id="j1", n=20, accepted_ranks=(4,)):
     """A labeled pool with positives planted at the given 0-based ranks."""
     ids = [f"{job_id}-r{i}" for i in range(n)]
-    labels = {
-        cid: ACCEPTED if i in accepted_ranks else UNLABELED for i, cid in enumerate(ids)
-    }
-    return RankedPool(job_id=job_id, candidates=tuple(ids), labels=labels)
+    accepted = frozenset(ids[i] for i in accepted_ranks)
+    return RankedPool(job_id=job_id, candidates=tuple(ids), accepted_ids=accepted)
 
 
 def corpus_for(pool):

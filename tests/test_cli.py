@@ -1069,6 +1069,8 @@ def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp
         ("base_url", "ftp://127.0.0.1:9"),
         ("base_url", "http://:9"),
         ("base_url", "http://127.0.0.1:port"),
+        ("model", 5),
+        ("api_key_env", 5),
     ],
 )
 def test_unusable_endpoint_numbers_exit_2(key, value, input_files, tmp_path):
@@ -1096,6 +1098,7 @@ def test_unusable_endpoint_numbers_exit_2(key, value, input_files, tmp_path):
         ("job_id", {"id": "j"}, "all", "job_id must be a non-empty string, got {'id': 'j'}"),
         ("r_bar", "0.5", "remove_hard", "r_bar must be null or a number in [0, 1], got '0.5'"),
         ("r_bar", 1.5, "remove_hard", "r_bar must be null or a number in [0, 1], got 1.5"),
+        ("hint", ["x"], "all", "hint must be null or a string, got ['x']"),
     ],
 )
 def test_malformed_window_record_exits_2_naming_line_and_field(field, value, strategy, message, input_files, runner, tmp_path):
@@ -1328,6 +1331,9 @@ def test_malformed_corpus_record_exits_2_naming_the_line(change, message, input_
         ({"resume_id": ["r"]}, "label needs string 'job_id' and 'resume_id'"),
         ({"y": 2}, "'y' must be 0 or 1, got 2"),
         ({"y": "1"}, "'y' must be 0 or 1, got '1'"),
+        ({"y": True}, "'y' must be 0 or 1, got True"),  # True == 1 and 1.0 == 1 compare equal
+        ({"y": False}, "'y' must be 0 or 1, got False"),
+        ({"y": 1.0}, "'y' must be 0 or 1, got 1.0"),
     ],
 )
 def test_malformed_label_exits_2_naming_the_line(change, message, input_files, runner, tmp_path):
@@ -1340,6 +1346,36 @@ def test_malformed_label_exits_2_naming_the_line(change, message, input_files, r
     assert result.exit_code == 2, result.output
     assert f"error: line 2: {message}" in result.output
     assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_a_rejected_candidate_and_an_unlabeled_one_are_the_same_negative(runner, tmp_path):
+    """Dropping every y=0 label changes no artifact and no meta sidecar of the pipeline."""
+    data = tmp_path / "data"
+    result = invoke(runner, ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "30", "--n-background", "200", "--seed", "4"])
+    assert result.exit_code == 0, result.output
+    lines = (data / "labels.jsonl").read_text().splitlines(keepends=True)
+    accepted = [line for line in lines if json.loads(line)["y"] == 1]
+    assert 0 < len(accepted) < len(lines)
+    (data / "accepted.jsonl").write_text("".join(accepted))
+    artifacts = {}
+    for labels in ("labels", "accepted"):
+        out = tmp_path / labels
+        inputs = ["--pools", str(data / "pools.jsonl"), "--labels", str(data / f"{labels}.jsonl")]
+        corpus = ["--corpus", str(data / "corpus.jsonl")]
+        steps = [
+            ["build-windows", *inputs, *corpus, "--out", str(out / "windows.jsonl")],
+            ["annotate", "--windows", str(out / "windows.jsonl"), "--labels", str(data / f"{labels}.jsonl"), *corpus,
+             "--ranker", "noisy", "--out", str(out / "annotated.jsonl")],
+            ["rerank", *inputs, *corpus, "--ranker", "noisy", "--out", str(out / "reranked.jsonl")],
+            ["evaluate", *inputs, "--reranked", str(out / "reranked.jsonl"), "--out", str(out / "report.json")],
+        ]
+        for args in steps:
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+        artifacts[labels] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(artifacts["labels"]) == sorted(artifacts["accepted"])
+    assert len(artifacts["labels"]) == 9
+    assert [name for name, data in artifacts["labels"].items() if data != artifacts["accepted"][name]] == []
 
 
 def test_every_grpo_setting_is_a_simulate_grpo_option():

@@ -6,9 +6,6 @@ import threading
 import pytest
 
 from rankfit.core import (
-    ACCEPTED,
-    REJECTED,
-    UNLABELED,
     Document,
     Label,
     load_corpus,
@@ -149,8 +146,7 @@ class TestLoadPools:
         path = self._pool_file(tmp_path, ids)
         pools = load_pools(path, [Label("j1", "r3", 1)])
         (pool,) = pools
-        assert pool.labels["r3"] == ACCEPTED
-        assert sum(1 for v in pool.labels.values() if v == UNLABELED) == 19
+        assert pool.accepted_ids == {"r3"}
 
     def test_join_mixed_labels(self, tmp_path):
         ids = [f"r{i}" for i in range(20)]
@@ -159,11 +155,7 @@ class TestLoadPools:
             Label("j1", f"r{i}", 0) for i in range(3, 5)
         ]
         (pool,) = load_pools(path, labels)
-        counts = {ACCEPTED: 0, REJECTED: 0, UNLABELED: 0}
-        for value in pool.labels.values():
-            counts[value] += 1
-        assert counts == {ACCEPTED: 3, REJECTED: 2, UNLABELED: 15}
-        assert set(pool.labels) == set(ids)
+        assert pool.accepted_ids == {"r0", "r1", "r2"}
 
     def test_unknown_document(self, tmp_path):
         path = self._pool_file(tmp_path, ["r1", "r999"])
@@ -210,13 +202,11 @@ class TestLoadPools:
             pools = load_pools(path, labels)
             for pool in pools:
                 assert len(set(pool.candidates)) == len(pool.candidates)
-                assert set(pool.labels) == set(pool.candidates)
-                assert all(
-                    v in (ACCEPTED, REJECTED, UNLABELED) for v in pool.labels.values()
-                )
+                accepted = {l.resume_id for l in labels if l.job_id == pool.job_id and l.y == 1}
+                assert pool.accepted_ids == accepted.intersection(pool.candidates)
 
     def test_pools_roundtrip(self, tmp_path):
-        pool = RankedPool(job_id="j1", candidates=("r1", "r2"), labels={})
+        pool = RankedPool(job_id="j1", candidates=("r1", "r2"))
         path = tmp_path / "pools.jsonl"
         write_pools([pool], path)
         (loaded,) = load_pools(path, [])

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from rankfit.core import ACCEPTED, KIND_JOB, KIND_RESUME, REJECTED, UNLABELED
+from rankfit.core import KIND_JOB, KIND_RESUME
 from rankfit.errors import ConfigError
 from rankfit.synthetic import (
     DEGREES,
@@ -47,7 +47,7 @@ class TestGenerate:
             assert label.job_id in docs
             assert label.resume_id in docs
         for pool in pools:
-            assert set(pool.labels) == set(pool.candidates)
+            assert pool.accepted_ids <= set(pool.candidates)
 
     def test_archetype_mix_produces_skip_cases(self):
         cfg = SyntheticConfig(n_jobs=50, n_background=300, seed=3)
@@ -103,9 +103,9 @@ class TestLoopReference:
         assert {d.id: d.fields for d in docs.values()} == ref_docs
         assert [(l.job_id, l.resume_id, l.y) for l in labels] == ref_labels
         assert [(p.job_id, p.candidates) for p in pools] == ref_pools
-        status = {(job, rid): ACCEPTED if y else REJECTED for job, rid, y in ref_labels}
+        accepted = {(job, rid) for job, rid, y in ref_labels if y}
         for pool in pools:
-            assert pool.labels == {c: status.get((pool.job_id, c), UNLABELED) for c in pool.candidates}
+            assert pool.accepted_ids == {c for c in pool.candidates if (pool.job_id, c) in accepted}
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
     @pytest.mark.parametrize("pending", [False, True])
@@ -157,4 +157,4 @@ class TestEvalPools:
         a = make_eval_pools(5, seed=3)
         b = make_eval_pools(5, seed=3)
         assert [p.candidates for p in a[1]] == [p.candidates for p in b[1]]
-        assert [p.labels for p in a[1]] == [p.labels for p in b[1]]
+        assert [p.accepted_ids for p in a[1]] == [p.accepted_ids for p in b[1]]

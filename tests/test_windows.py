@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from rankfit.core import ACCEPTED, REJECTED, UNLABELED, RankedPool
+from rankfit.core import RankedPool
 from rankfit.errors import ConfigError, MalformedAnswer, MissingDifficulty
 from rankfit.ranker import (
     NoisyOracleRanker,
@@ -27,17 +27,9 @@ from rankfit.windows import (
 from conftest import corpus_for_windows, make_window
 
 
-def labeled_pool(n=20, n_accept=1, n_reject=0, job_id="j1"):
+def labeled_pool(n=20, n_accept=1, job_id="j1"):
     ids = [f"{job_id}-r{i}" for i in range(n)]
-    labels = {}
-    for i, cid in enumerate(ids):
-        if i < n_accept:
-            labels[cid] = ACCEPTED
-        elif i < n_accept + n_reject:
-            labels[cid] = REJECTED
-        else:
-            labels[cid] = UNLABELED
-    return RankedPool(job_id=job_id, candidates=tuple(ids), labels=labels)
+    return RankedPool(job_id=job_id, candidates=tuple(ids), accepted_ids=frozenset(ids[:n_accept]))
 
 
 class TestPartitionPool:
@@ -69,7 +61,7 @@ class TestPartitionPool:
         assert skip == Skip("j1", "too_few_negatives")
 
     def test_unlabeled_counts_as_negative(self):
-        part = partition_pool(labeled_pool(n_accept=2, n_reject=3), PipelineConfig())
+        part = partition_pool(labeled_pool(n_accept=2), PipelineConfig())
         assert len(part.negatives) == 18
 
 
@@ -82,7 +74,7 @@ class TestBuildWindows:
             assert len(w.candidate_ids) == 4
             assert w.candidate_ids.count(w.gold_id) == 1
             negatives = [c for c in w.candidate_ids if c != w.gold_id]
-            assert all(pool.labels[c] != ACCEPTED for c in negatives)
+            assert not pool.accepted_ids.intersection(negatives)
             assert sorted(w.presented_order) == [1, 2, 3, 4]
 
     def test_exactly_three_negatives_collapses_repeats(self, rng):
@@ -122,17 +114,14 @@ class TestBuildWindows:
         rng = random.Random(2024)
         for trial in range(40):
             n_accept = rng.randint(0, 13)
-            n_reject = rng.randint(0, 3)
-            pool = labeled_pool(
-                n=20, n_accept=n_accept, n_reject=n_reject, job_id=f"j{trial}"
-            )
+            pool = labeled_pool(n=20, n_accept=n_accept, job_id=f"j{trial}")
             windows = build_windows(pool, PipelineConfig(), random.Random(trial))
             seen_sets = set()
             for w in windows:
                 key = frozenset(w.candidate_ids)
                 assert key not in seen_sets
                 seen_sets.add(key)
-                assert pool.labels[w.gold_id] == ACCEPTED
+                assert w.gold_id in pool.accepted_ids
                 assert len(set(w.candidate_ids)) == 4
             if n_accept == 0 or n_accept >= 11:
                 assert windows == []
