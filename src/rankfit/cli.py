@@ -464,20 +464,18 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
     engine = _settings(EngineConfig, config, "engine", iterations=t)
-    t, pool_size = engine.iterations, engine.pool_size
     corpus = load_corpus(_input(corpus_path, "corpus"))
     labels = load_labels(_input(labels_path, "labels"))
     pools = load_pools(_input(pools_path, "pools"), labels, corpus)
-    pools = [p for p in pools if len(p.candidates) == pool_size]
+    pools = [p for p in pools if len(p.candidates) == engine.pool_size]
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
-    grid_points = [(k, s, t) for k, s in _parse_grid(grid)]
-    rows, rejected = ablate(pools, ranker, grid_points, corpus, pool_size=pool_size, max_workers=_workers(jobs, ranker))
+    rows, rejected = ablate(pools, ranker, engine, _parse_grid(grid), corpus, max_workers=_workers(jobs, ranker))
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
     _write_json(out_path, {"rows": rows, "rejected": rejected})
-    _write_meta(out_path, {"grid": grid, "iterations": t, "pool_size": pool_size, "ranker": ranker_cfg}, seed)
+    _write_meta(out_path, {"grid": grid, "iterations": engine.iterations, "pool_size": engine.pool_size, "ranker": ranker_cfg}, seed)
 
     click.echo(f"{'setting':<14} {'nDCG@10':>8} {'Recall@10':>10} {'comp/iter':>10}")
     for row in rows:

@@ -10,7 +10,7 @@ schedule is a pure function of (N, k, s) and independent of ranker behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
@@ -101,10 +101,8 @@ def rerank_pool(
             f"pool {pool.job_id!r} has {len(pool.candidates)} candidates, "
             f"engine configured for {cfg.pool_size}"
         )
-    try:
-        job_doc = corpus[pool.job_id]
-    except KeyError:
-        raise ConfigError(f"job {pool.job_id!r} missing from corpus") from None
+    if pool.job_id not in corpus:
+        raise ConfigError(f"job {pool.job_id!r} missing from corpus")
 
     k = cfg.window_size
     starts = window_starts(cfg.pool_size, k, cfg.stride)
@@ -115,14 +113,7 @@ def rerank_pool(
         for start in starts:
             lo = start - 1
             window_ids = order[lo : lo + k]
-            req = RankRequest(
-                job=job_doc,
-                candidates=tuple(
-                    (slot, corpus[cid]) for slot, cid in enumerate(window_ids, start=1)
-                ),
-                request_id=f"{pool.job_id}:it{iteration}:s{start}",
-            )
-            resp = ranker(req)
+            resp = ranker(RankRequest.for_ids(corpus, pool.job_id, window_ids, f"{pool.job_id}:it{iteration}:s{start}"))
             ordering = resp.ordering
             degraded = resp.degraded
             if not _is_permutation(ordering, k):
@@ -230,30 +221,31 @@ def evaluate_run(
 def ablate(
     pools: Sequence[RankedPool],
     ranker: Ranker,
-    grid: Sequence[tuple[int, int, int]],
+    base: EngineConfig,
+    grid: Sequence[tuple[int, int]],
     corpus: Mapping[str, Document],
-    pool_size: int = EngineConfig.pool_size,
     max_workers: int = 1,
 ):
-    """Evaluate a (k, s, t) grid; invalid points are rejected, the rest still run.
+    """Evaluate ``base`` at each (k, s) of ``grid``; invalid points are rejected, the rest still run.
 
     Returns (rows, rejected) where each row carries the setting, macro
     metrics, and the analytic comparisons-per-pass count.
     """
     rows, rejected = [], []
-    for k, s, t in grid:
+    for k, s in grid:
+        setting = {"k": k, "s": s, "t": base.iterations}
         try:
-            cfg = EngineConfig(window_size=k, stride=s, iterations=t, pool_size=pool_size)
+            cfg = replace(base, window_size=k, stride=s)
         except ConfigError as exc:
-            rejected.append({"setting": {"k": k, "s": s, "t": t}, "error": str(exc)})
+            rejected.append({"setting": setting, "error": str(exc)})
             continue
         report = evaluate_run(pools, ranker, cfg, corpus, max_workers=max_workers)
         rows.append(
             {
-                "setting": {"k": k, "s": s, "t": t},
+                "setting": setting,
                 "ndcg10": report["macro"]["ndcg10_after"],
                 "recall10": report["macro"]["recall10_after"],
-                "comparisons_per_iter": comparisons_per_pass(pool_size, k, s),
+                "comparisons_per_iter": comparisons_per_pass(cfg.pool_size, k, s),
             }
         )
     return rows, rejected

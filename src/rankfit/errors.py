@@ -6,6 +6,8 @@ CLI) can separate data/config problems (exit code 2) from genuine bugs.
 
 from __future__ import annotations
 
+import math
+
 
 class RankfitError(Exception):
     """Base class for all toolkit errors."""
@@ -82,11 +84,12 @@ class ConfigError(RankfitError):
 def check_fields(obj, names, kind, ok, rule: str, prefix: str = "") -> None:
     """Raise ConfigError unless each field ``names`` of ``obj`` is a ``kind`` that passes ``ok``.
 
-    ``float`` also takes an int, and a bool is never a number. The error
-    reads ``<prefix><name> must be <rule>, got <value>``.
+    ``float`` also takes an int but never inf or nan, and a bool is never a
+    number. The error reads ``<prefix><name> must be <rule>, got <value>``.
     """
     kinds = (int, float) if kind is float else kind
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+        wrong_type = isinstance(value, bool) or not isinstance(value, kinds)
+        if wrong_type or (kind is float and not math.isfinite(value)) or not ok(value):
             raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")

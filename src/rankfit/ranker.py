@@ -28,7 +28,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .core import Document, render_document
 from .errors import ConfigError, MalformedAnswer, check_fields
@@ -102,6 +102,14 @@ class RankRequest:
         slots = [slot for slot, _ in self.candidates]
         if len(slots) < 2 or slots != list(range(1, len(slots) + 1)):
             raise ConfigError(f"candidate slots must be 1..k with k >= 2, got {slots}")
+
+    @classmethod
+    def for_ids(
+        cls, corpus: Mapping[str, Document], job_id: str, ids: Sequence[str], request_id: str,
+        hint: str | None = None, sampling: SamplingParams = SamplingParams(),
+    ) -> RankRequest:
+        """The request for job ``job_id`` that shows the documents ``ids`` in slots 1..k, in order."""
+        return cls(corpus[job_id], tuple(enumerate((corpus[c] for c in ids), start=1)), request_id, hint, sampling)
 
     @property
     def k(self) -> int:
@@ -297,8 +305,8 @@ class EndpointConfig:
         check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
         check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
         check_fields(self, ("max_retries", "max_concurrency"), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
-        check_fields(self, ("timeout_s",), float, lambda v: v > 0, "a number > 0", "endpoint ")
-        check_fields(self, ("retry_backoff_s",), float, lambda v: v >= 0, "a number >= 0", "endpoint ")
+        check_fields(self, ("timeout_s",), float, lambda v: v > 0, "a finite number > 0", "endpoint ")
+        check_fields(self, ("retry_backoff_s",), float, lambda v: v >= 0, "a finite number >= 0", "endpoint ")
 
 
 class TransportFailure(Exception):
@@ -397,9 +405,12 @@ class ChatCompletionsClient:
                 f"HTTP {resp.status_code}", int(wait) if wait.strip().isdecimal() else None
             )
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportFailure(f"malformed response body: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportFailure(f"malformed response body: content is {type(content).__name__}, not a string")
+        return content
 
     def backoff(self, attempt: int, retry_after: int | None = None) -> None:
         """Before attempt ``attempt`` > 0: Retry-After capped at ``timeout_s``, else jittered doubling."""
@@ -449,6 +460,7 @@ class LlmRanker:
             content, (ordering, repaired), retries = self._client.complete(
                 system, user, req.sampling, lambda raw: parse_answer(raw, req.k)
             )
+            degraded = False
         except (TransportFailure, MalformedAnswer) as exc:
             log.warning(
                 "ranker degraded to identity for request %r after %d attempts: %s",
@@ -456,18 +468,7 @@ class LlmRanker:
                 self.cfg.max_retries,
                 exc,
             )
-            return RankResponse(
-                raw_text="",
-                ordering=list(range(1, req.k + 1)),
-                repaired=True,
-                latency_ms=(time.perf_counter() - started) * 1000.0,
-                retry_count=self.cfg.max_retries - 1,
-                degraded=True,
-            )
-        return RankResponse(
-            raw_text=content,
-            ordering=ordering,
-            repaired=repaired,
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            retry_count=retries,
-        )
+            content, ordering, repaired = "", list(range(1, req.k + 1)), True
+            retries, degraded = self.cfg.max_retries - 1, True
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        return RankResponse(content, ordering, repaired, latency_ms, retries, degraded)

@@ -216,13 +216,7 @@ def window_request(
     window: Window, corpus: Mapping[str, Document], tag: str, sampling: SamplingParams
 ) -> RankRequest:
     """Build the ranking request for a window's presented candidates."""
-    return RankRequest(
-        job=corpus[window.job_id],
-        candidates=tuple((slot, corpus[cid]) for slot, cid in enumerate(window.presented_ids(), start=1)),
-        request_id=f"{window.window_id}:{tag}",
-        hint=window.hint,
-        sampling=sampling,
-    )
+    return RankRequest.for_ids(corpus, window.job_id, window.presented_ids(), f"{window.window_id}:{tag}", window.hint, sampling)
 
 
 @dataclass

@@ -961,8 +961,11 @@ def _annotated(files, tmp_path):
         (["build-windows"], {"pipeline": {"n_rep": "3"}}, "n_rep must be an integer >= 1, got '3'"),
         (["gen-synthetic"], {"synthetic": {"n_jobs": 5.5}}, "n_jobs must be an integer >= 1, got 5.5"),
         (["gen-synthetic"], {"synthetic": {"n_jobs": "5"}}, "n_jobs must be an integer >= 1, got '5'"),
-        (["gen-synthetic"], {"synthetic": {"retrieval_noise": "x"}}, "retrieval_noise must be a number >= 0, got 'x'"),
+        (["gen-synthetic"], {"synthetic": {"retrieval_noise": "x"}}, "retrieval_noise must be a finite number >= 0, got 'x'"),
         (["gen-synthetic"], {"synthetic": {"pool_size": 2.5}}, "pool_size must be an integer >= 2, got 2.5"),
+        # json writes and reads Infinity; it used to generate meaningless pools
+        (["gen-synthetic"], {"synthetic": {"retrieval_noise": float("inf")}},
+         "retrieval_noise must be a finite number >= 0, got inf"),
     ],
 )
 def test_config_value_out_of_range_exits_2(args, config, expected, input_files, runner, tmp_path):
@@ -1063,6 +1066,8 @@ def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp
         ("max_concurrency", 0),  # a zero-permit gate blocks the first call forever
         ("timeout_s", 0),
         ("retry_backoff_s", -1),
+        ("timeout_s", float("inf")),  # json writes Infinity; socket.settimeout used to overflow
+        ("retry_backoff_s", float("inf")),  # time.sleep used to overflow at the first retry
         ("max_retries", "3"),
         ("max_concurrency", True),
         ("base_url", "localhost:9"),  # no scheme: every call used to retry, then degrade

@@ -224,8 +224,8 @@ class TestAblate:
         corpus = {}
         for p in pools:
             corpus.update(corpus_for(p))
-        grid = [(2, 1, 1), (4, 2, 1), (4, 5, 1)]
-        rows, rejected = ablate(pools, oracle_for(pools), grid, corpus)
+        grid = [(2, 1), (4, 2), (4, 5)]
+        rows, rejected = ablate(pools, oracle_for(pools), EngineConfig(iterations=1), grid, corpus)
         assert [r["setting"] for r in rows] == [
             {"k": 2, "s": 1, "t": 1},
             {"k": 4, "s": 2, "t": 1},

@@ -2,9 +2,11 @@
 
 ``perfbench/tracing.py`` skips a name it cannot find, so a rename in ``src/``
 would silently zero a per-layer metric. The tracer is loaded by path and
-nothing under ``perfbench/`` is changed.
+nothing under ``perfbench/`` is changed. The benchmark's other scripts are
+read with ``ast`` only: each name they import from rankfit must resolve.
 """
 
+import ast
 import dataclasses
 import importlib
 import types
@@ -12,9 +14,28 @@ from pathlib import Path
 
 import pytest
 
+from rankfit.ranker import RankRequest, build_prompt
 from rankfit.windows import AnnotateStats, DistillStats
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import make_job, make_resume
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def _rankfit_imports():
+    """(file, module, name) for each rankfit import in perfbench/*.py; name is None for ``import module``."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rankfit":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names if a.name.split(".")[0] == "rankfit"]
+    return found
+
+
+RANKFIT_IMPORTS = _rankfit_imports()
 
 
 # run from its source, so that no bytecode cache is written under perfbench/
@@ -44,3 +65,24 @@ def test_traced_ranker_defines_call(span, cls):
 @pytest.mark.parametrize("stats,names", [(AnnotateStats, {"failed_windows", "trials"}), (DistillStats, {"kept"})])
 def test_stats_keep_the_fields_the_tracer_counts(stats, names):
     assert names <= {f.name for f in dataclasses.fields(stats)}
+
+
+def test_the_scan_finds_the_reference_imports():
+    assert {("run.py", "rankfit.core", "load_corpus"), ("run.py", "rankfit.ranker", "RankRequest"),
+            ("run.py", "rankfit.ranker", "build_prompt")} <= set(RANKFIT_IMPORTS)
+
+
+@pytest.mark.parametrize(
+    "path,module,name", RANKFIT_IMPORTS, ids=[f"{p}:{m}.{n}" if n else f"{p}:{m}" for p, m, n in RANKFIT_IMPORTS]
+)
+def test_perfbench_rankfit_import_resolves(path, module, name):
+    imported = importlib.import_module(module)
+    assert name is None or hasattr(imported, name), f"perfbench/{path} imports missing {module}.{name}"
+
+
+def test_reference_request_renders_the_prompts_of_for_ids():
+    """run.py's reference builds its requests with the (slot, doc) constructor; the prompts must not differ."""
+    ids = ["r3", "r1", "r4", "r2"]
+    corpus = {"j1": make_job("j1"), **{rid: make_resume(rid) for rid in ids}}
+    reference = RankRequest(job=corpus["j1"], candidates=tuple((i, corpus[c]) for i, c in enumerate(ids, 1)))
+    assert build_prompt(reference) == build_prompt(RankRequest.for_ids(corpus, "j1", ids, "j1:it1:s17"))

@@ -80,6 +80,13 @@ class TestBuildPrompt:
         with pytest.raises(ConfigError):
             RankRequest(job=make_job("j"), candidates=((2, make_resume("r")),))
 
+    @pytest.mark.parametrize("extra", [{}, {"hint": "The accepted candidate is [2]", "sampling": ANNOTATION_SAMPLING}])
+    def test_for_ids_equals_the_hand_built_request(self, extra):
+        ids = ["r3", "r1", "r2"]
+        corpus = {"j1": make_job("j1"), **{rid: make_resume(rid) for rid in ids}}
+        by_hand = RankRequest(corpus["j1"], tuple((i, corpus[c]) for i, c in enumerate(ids, 1)), "req", **extra)
+        assert RankRequest.for_ids(corpus, "j1", ids, "req", **extra) == by_hand
+
 
 class TestParseAnswer:
     def test_clean_answer(self):
@@ -277,10 +284,14 @@ class TestLlmRanker:
         def post(url, json=None, headers=None, timeout=None):
             return FakeResponse(status_code=500)
 
-        resp = LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
+        cfg = endpoint_cfg()
+        resp = LlmRanker(cfg, post=post)(make_request(k=4))
         assert resp.degraded is True
         assert resp.repaired is True
         assert resp.ordering == [1, 2, 3, 4]
+        assert resp.raw_text == ""
+        assert resp.retry_count == cfg.max_retries - 1
+        assert resp.latency_ms > 0
 
     def test_malformed_answer_retried_then_degraded(self):
         calls = {"n": 0}
@@ -292,6 +303,18 @@ class TestLlmRanker:
         resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
         assert calls["n"] == 3
         assert resp.degraded is True
+
+    @pytest.mark.parametrize("content", [5, ["<answer> [1] > [2] </answer>"], {"text": "<answer> [1] > [2] </answer>"}, None])
+    def test_content_that_is_not_a_string_is_retried_then_degraded(self, content):
+        calls = {"n": 0}
+
+        def post(url, json=None, headers=None, timeout=None):
+            calls["n"] += 1
+            return FakeResponse(content=content)
+
+        resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
+        assert calls["n"] == 3
+        assert resp.degraded is True and resp.ordering == [1, 2, 3, 4]
 
     def test_auth_failure_is_fatal(self):
         def post(url, json=None, headers=None, timeout=None):
@@ -378,6 +401,14 @@ class TestClientComplete:
         with pytest.raises(MalformedAnswer):
             client.complete("s", "u", SamplingParams(), parse_judge_answer)
         assert calls["n"] == 2
+
+    @pytest.mark.parametrize("content", [5, ["<answer> no </answer>"], {"text": "<answer> no </answer>"}, None])
+    def test_judge_keeps_and_lists_a_window_whose_content_is_not_a_string(self, content):
+        windows = [make_window()]
+        client = ChatCompletionsClient(endpoint_cfg(), post=lambda *args, **kwargs: FakeResponse(content=content))
+        assert judge_windows(windows, client, corpus_for_windows(windows)) == (windows, ["j1/w0"])
+        with pytest.raises(TransportFailure, match=f"content is {type(content).__name__}, not a string"):
+            client.complete_once("s", "u", SamplingParams())
 
     def test_fatal_status_is_not_retried(self):
         client, calls = self._client([404, "<answer> yes </answer>"])
