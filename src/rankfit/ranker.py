@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 import random
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -305,8 +307,9 @@ class EndpointConfig:
         check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
         check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
         check_fields(self, ("max_retries", "max_concurrency"), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
-        check_fields(self, ("timeout_s",), float, lambda v: v > 0, "a finite number > 0", "endpoint ")
-        check_fields(self, ("retry_backoff_s",), float, lambda v: v >= 0, "a finite number >= 0", "endpoint ")
+        # socket.settimeout and time.sleep overflow far above a day
+        check_fields(self, ("timeout_s",), float, lambda v: 0 < v <= 86400, "a finite number in (0, 86400]", "endpoint ")
+        check_fields(self, ("retry_backoff_s",), float, lambda v: 0 <= v <= 86400, "a finite number in [0, 86400]", "endpoint ")
 
 
 class TransportFailure(Exception):
@@ -317,37 +320,35 @@ class TransportFailure(Exception):
         self.retry_after = retry_after
 
 
-def _requests_post(url, json=None, headers=None, timeout=None):
-    """POST ``json`` on a connection of its own; returns ``status_code``, ``headers`` and ``json()``.
+def _requests_post(conn, path, json=None, headers=None):
+    """POST ``json`` to ``path`` on the ``http.client`` connection ``conn``; returns ``status_code``, ``headers`` and ``json()``.
 
-    Standard library only: no proxy variable is read, and https uses the
-    system CA store. The name stays until the next benchmark change, because
-    the benchmark's ``ranker.transport`` span binds to it.
+    The connection opens on first use and stays open after the reply unless
+    the server closes it. The name stays until the next benchmark change,
+    because the benchmark's ``ranker.transport`` span binds to it.
     """
-    import http.client
-    import ssl
+    import socket
     from json import dumps, loads
     from types import SimpleNamespace
-    from urllib.parse import urlsplit
 
-    parts = urlsplit(url)
-    if parts.scheme == "https":
-        conn = http.client.HTTPSConnection(
-            parts.hostname, parts.port, timeout=timeout, context=ssl.create_default_context()
-        )
-    else:
-        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
-    try:
-        conn.request("POST", parts.path, body=dumps(json).encode(), headers=headers or {})
-        resp = conn.getresponse()
-        body = resp.read()
-    finally:
-        conn.close()
+    conn.request("POST", path, body=dumps(json).encode(), headers=headers or {})
+    if hasattr(socket, "TCP_QUICKACK"):  # ack the reply's headers at once, so a Nagle-bound body is not held ~40 ms
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    resp = conn.getresponse()
+    body = resp.read()
     return SimpleNamespace(status_code=resp.status, headers=resp.headers, json=lambda: loads(body))
 
 
+def _close_idle(pool: queue.Queue) -> None:
+    """Close each connection resting in ``pool``; a closed one reconnects on its next use."""
+    with pool.mutex:
+        for conn in pool.queue:
+            if conn is not None:
+                conn.close()
+
+
 class ChatCompletionsClient:
-    """POST /v1/chat/completions caller with a concurrency cap.
+    """POST /v1/chat/completions caller over at most ``max_concurrency`` kept-alive connections.
 
     ``complete_once`` makes one attempt. Authentication problems and rejected
     requests (HTTP 400, 404, 422) raise ConfigError (fatal); any other
@@ -356,9 +357,19 @@ class ChatCompletionsClient:
     """
 
     def __init__(self, cfg: EndpointConfig, post=None):
+        from urllib.parse import urlsplit
+
         self.cfg = cfg
-        self._post = post or _requests_post
-        self._gate = threading.BoundedSemaphore(cfg.max_concurrency)
+        self._post = post
+        self._url = urlsplit(cfg.base_url)
+        self._path = self._url.path.rstrip("/") + "/v1/chat/completions"
+        # taking a slot is the concurrency gate; a slot holds a connection, or None until its first call
+        self._pool = queue.LifoQueue()
+        for _ in range(cfg.max_concurrency):
+            self._pool.put(None)
+        weakref.finalize(self, _close_idle, self._pool)  # when the client is collected, or at exit
+        self._ssl_lock = threading.Lock()
+        self._ssl_context = None
         self._jitter = random.Random()  # its own stream: seeded draws elsewhere never move
         self._api_key = None
         if cfg.api_key_env:
@@ -367,6 +378,39 @@ class ChatCompletionsClient:
                 raise ConfigError(
                     f"API key environment variable {cfg.api_key_env!r} is not set"
                 )
+
+    def _connect(self):
+        """A connection to the endpoint's host; it opens its socket on first use."""
+        import http.client
+
+        host, port, timeout = self._url.hostname, self._url.port, self.cfg.timeout_s
+        if self._url.scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        with self._ssl_lock:  # one context per client: each one loads the CA store
+            if self._ssl_context is None:
+                import ssl
+
+                self._ssl_context = ssl.create_default_context()
+        return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._ssl_context)
+
+    def _exchange(self, payload: dict, headers: dict):
+        """One POST on a pooled connection; a kept-alive one that the server dropped is reopened once."""
+        post = self._post or _requests_post  # looked up per call: the benchmark rebinds the module's name
+        conn = self._pool.get()
+        try:
+            conn = conn or self._connect()
+            if conn.sock is not None:  # kept alive: the server may have closed it while it sat idle
+                try:
+                    return post(conn, self._path, json=payload, headers=headers)
+                except (ConnectionResetError, BrokenPipeError):  # http.client's RemoteDisconnected included
+                    conn.close()
+            return post(conn, self._path, json=payload, headers=headers)
+        except BaseException:
+            if conn:
+                conn.close()  # the slot goes back with no socket
+            raise
+        finally:
+            self._pool.put(conn)
 
     def complete_once(self, system: str, user: str, sampling: SamplingParams) -> str:
         import http.client
@@ -385,10 +429,8 @@ class ChatCompletionsClient:
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        url = self.cfg.base_url.rstrip("/") + "/v1/chat/completions"
         try:
-            with self._gate:
-                resp = self._post(url, json=payload, headers=headers, timeout=self.cfg.timeout_s)
+            resp = self._exchange(payload, headers)
         except (OSError, http.client.HTTPException) as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
         if resp.status_code in (401, 403):

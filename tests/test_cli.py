@@ -946,7 +946,7 @@ def _annotated(files, tmp_path):
         (["filter", "--strategy", "subsample_hard"], {"pipeline": {"subsample_keep": 1.5}},
          "subsample_keep must be a number in [0, 1], got 1.5"),
         (["gen-synthetic"], {"synthetic": {"frac_no_positive": -0.2}},
-         "frac_no_positive must be >= 0, got -0.2"),
+         "frac_no_positive must be a finite number >= 0, got -0.2"),
         (["gen-synthetic"], {"synthetic": {"pool_size": 0}}, "pool_size must be an integer >= 2, got 0"),
         (["gen-synthetic"], {"synthetic": {"pool_size": 1}}, "pool_size must be an integer >= 2, got 1"),
         (["annotate", "--ranker", "noisy"], {"ranker": {"p_flip": "0.3"}},
@@ -966,6 +966,8 @@ def _annotated(files, tmp_path):
         # json writes and reads Infinity; it used to generate meaningless pools
         (["gen-synthetic"], {"synthetic": {"retrieval_noise": float("inf")}},
          "retrieval_noise must be a finite number >= 0, got inf"),
+        (["gen-synthetic"], {"synthetic": {"frac_no_positive": float("inf")}},
+         "frac_no_positive must be a finite number >= 0, got inf"),
     ],
 )
 def test_config_value_out_of_range_exits_2(args, config, expected, input_files, runner, tmp_path):
@@ -1068,6 +1070,8 @@ def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp
         ("retry_backoff_s", -1),
         ("timeout_s", float("inf")),  # json writes Infinity; socket.settimeout used to overflow
         ("retry_backoff_s", float("inf")),  # time.sleep used to overflow at the first retry
+        ("timeout_s", 1e300),  # finite, but socket.settimeout overflowed all the same
+        ("retry_backoff_s", 1e300),
         ("max_retries", "3"),
         ("max_concurrency", True),
         ("base_url", "localhost:9"),  # no scheme: every call used to retry, then degrade

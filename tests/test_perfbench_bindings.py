@@ -9,15 +9,19 @@ read with ``ast`` only: each name they import from rankfit must resolve.
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from rankfit.ranker import RankRequest, build_prompt
+import rankfit.ranker
+from rankfit.ranker import EndpointConfig, LlmRanker, RankRequest, build_prompt
 from rankfit.windows import AnnotateStats, DistillStats
 
-from conftest import make_job, make_resume
+from conftest import SRC, make_job, make_resume
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -86,3 +90,23 @@ def test_reference_request_renders_the_prompts_of_for_ids():
     corpus = {"j1": make_job("j1"), **{rid: make_resume(rid) for rid in ids}}
     reference = RankRequest(job=corpus["j1"], candidates=tuple((i, corpus[c]) for i, c in enumerate(ids, 1)))
     assert build_prompt(reference) == build_prompt(RankRequest.for_ids(corpus, "j1", ids, "j1:it1:s17"))
+
+
+def test_transport_span_sees_every_exchange(http_server, monkeypatch):
+    """The client looks ``_requests_post`` up per call, so the span the tracer rebinds there times each exchange."""
+    ids = ["r1", "r2", "r3", "r4"]
+    corpus = {"j1": make_job("j1"), **{rid: make_resume(rid) for rid in ids}}
+    ranker = LlmRanker(EndpointConfig(base_url=http_server, model="m", timeout_s=5))
+    tracer = tracing.Tracer("bindings")
+    monkeypatch.setattr(rankfit.ranker, "_requests_post", tracer.wrap("ranker.transport", rankfit.ranker._requests_post))
+    for i in range(3):
+        assert not ranker(RankRequest.for_ids(corpus, "j1", ids, f"req{i}")).degraded
+    assert [span[2] for span in tracer.spans] == ["ranker.transport"] * 3
+
+
+def test_importing_the_cli_loads_no_network_module():
+    """Every benchmark stage compiles its imports from source; the HTTP client's modules load on the first call."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rankfit.cli; print(sorted({'http.client', 'socket', 'ssl'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr

@@ -3,6 +3,7 @@ import http.client
 import itertools
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -247,12 +248,19 @@ def endpoint_cfg(**overrides):
     return EndpointConfig(**defaults)
 
 
+@pytest.mark.parametrize("key,rule", [("timeout_s", "(0, 86400]"), ("retry_backoff_s", "[0, 86400]")])
+def test_endpoint_seconds_are_bounded_at_one_day(key, rule):
+    assert getattr(endpoint_cfg(**{key: 86400}), key) == 86400
+    with pytest.raises(ConfigError, match=re.escape(f"endpoint {key} must be a finite number in {rule}, got 86400.5")):
+        endpoint_cfg(**{key: 86400.5})
+
+
 class TestLlmRanker:
     def test_happy_path(self):
         posts = []
 
-        def post(url, json=None, headers=None, timeout=None):
-            posts.append((url, json))
+        def post(conn, path, json=None, headers=None):
+            posts.append((path, json))
             return FakeResponse(content="<answer> [2] > [3] > [1] > [4] </answer>")
 
         ranker = LlmRanker(endpoint_cfg(), post=post)
@@ -260,8 +268,8 @@ class TestLlmRanker:
         assert resp.ordering == [2, 3, 1, 4]
         assert resp.repaired is False
         assert resp.retry_count == 0
-        url, payload = posts[0]
-        assert url.endswith("/v1/chat/completions")
+        path, payload = posts[0]
+        assert path == "/v1/chat/completions"
         assert payload["model"] == "test-model"
         assert [m["role"] for m in payload["messages"]] == ["system", "user"]
         assert {"temperature", "top_p", "max_tokens"} <= set(payload)
@@ -269,7 +277,7 @@ class TestLlmRanker:
     def test_two_timeouts_then_success(self):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise TimeoutError("timed out")
@@ -281,7 +289,7 @@ class TestLlmRanker:
         assert resp.ordering == [1, 2, 3, 4]
 
     def test_persistent_500_degrades_to_identity(self):
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             return FakeResponse(status_code=500)
 
         cfg = endpoint_cfg()
@@ -296,7 +304,7 @@ class TestLlmRanker:
     def test_malformed_answer_retried_then_degraded(self):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             calls["n"] += 1
             return FakeResponse(content="I refuse to answer in the format")
 
@@ -308,7 +316,7 @@ class TestLlmRanker:
     def test_content_that_is_not_a_string_is_retried_then_degraded(self, content):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             calls["n"] += 1
             return FakeResponse(content=content)
 
@@ -317,7 +325,7 @@ class TestLlmRanker:
         assert resp.degraded is True and resp.ordering == [1, 2, 3, 4]
 
     def test_auth_failure_is_fatal(self):
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             return FakeResponse(status_code=401)
 
         with pytest.raises(ConfigError):
@@ -327,7 +335,7 @@ class TestLlmRanker:
     def test_rejected_request_is_fatal_without_retry(self, status):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             calls["n"] += 1
             return FakeResponse(status_code=status)
 
@@ -339,7 +347,7 @@ class TestLlmRanker:
     def test_transient_status_is_retried(self, status):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 return FakeResponse(status_code=status)
@@ -359,7 +367,7 @@ class TestLlmRanker:
         monkeypatch.setenv("RANKFIT_TEST_KEY", "sk-123")
         seen = {}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             seen.update(headers)
             return FakeResponse(content="<answer> [1] > [2] </answer>")
 
@@ -367,7 +375,7 @@ class TestLlmRanker:
         assert seen["Authorization"] == "Bearer sk-123"
 
     def test_repaired_answer_flagged(self):
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             return FakeResponse(content="<answer> [2] > [2] > [1] </answer>")
 
         resp = LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
@@ -381,7 +389,7 @@ class TestClientComplete:
     def _client(self, replies, **cfg):
         calls = {"n": 0}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             reply = replies[min(calls["n"], len(replies) - 1)]
             calls["n"] += 1
             if isinstance(reply, int):
@@ -561,11 +569,20 @@ class _FaultHandler(BaseHTTPRequestHandler):
     """Replies to the n-th request as ``server.script[n]`` says; the last entry repeats.
 
     "ok" answers ``server.answer(user prompt)``; "hold" answers the same
-    after 50 ms; "short" sends a body 50 bytes short of its Content-Length;
+    after 50 ms; "late" after a delay of 0-15 ms drawn from ``server.delays``;
+    "short" sends a body 50 bytes short of its Content-Length and closes;
     "close" and "hang" close without a reply, "hang" only once
     ``server.release`` is set; ``(status, headers)`` sends that status.
-    ``server.peak`` is the most requests in progress at once.
+    ``server.peak`` is the most requests in progress at once, and
+    ``server.connections`` the connections accepted. A connection closes
+    after its ``server.close_after``-th reply, with no ``Connection: close``.
     """
+
+    def setup(self):
+        super().setup()
+        self.replies = 0
+        with self.server.lock:
+            self.server.connections += 1
 
     def do_POST(self):
         server = self.server
@@ -575,12 +592,16 @@ class _FaultHandler(BaseHTTPRequestHandler):
             server.hits += 1
             server.open += 1
             server.peak = max(server.peak, server.open)
+            delay = server.delays.uniform(0, 0.015) if fault == "late" else 0
         if fault == "hang":
             server.release.wait(30)
-        elif fault == "hold":
-            server.release.wait(0.05)
+        elif fault in ("hold", "late"):
+            server.release.wait(0.05 if fault == "hold" else delay)
         with server.lock:
             server.open -= 1  # before the reply, which lets the client open its next connection
+        self.replies += 1
+        if fault in ("hang", "close", "short") or self.replies == server.close_after:
+            self.close_connection = True
         if fault in ("hang", "close"):
             return
         status, headers = fault if isinstance(fault, tuple) else (200, {})
@@ -597,10 +618,16 @@ class _FaultHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def fault_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultHandler)
-    server.script, server.hits, server.open, server.peak = ["ok"], 0, 0, 0
+class _KeepAliveHandler(_FaultHandler):
+    """The same replies over HTTP/1.1, so a connection stays open between requests."""
+
+    protocol_version = "HTTP/1.1"
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.script, server.hits, server.open, server.peak, server.connections = ["ok"], 0, 0, 0, 0
+    server.close_after, server.delays = None, random.Random(0)
     server.answer = lambda user: "<answer> [1] > [2] > [3] > [4] </answer>"
     server.lock, server.release = threading.Lock(), threading.Event()
     server.url = f"http://127.0.0.1:{server.server_port}"
@@ -610,6 +637,17 @@ def fault_server():
     server.release.set()
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def fault_server():
+    """HTTP/1.0: the server closes every connection after its reply."""
+    yield from _serve(_FaultHandler)
+
+
+@pytest.fixture
+def keepalive_server():
+    yield from _serve(_KeepAliveHandler)
 
 
 def _closed_port_url():
@@ -661,13 +699,76 @@ class TestTransportFaults:
             LlmRanker(endpoint_cfg(base_url=fault_server.url, timeout_s=5, max_retries=3))(make_request(k=4))
         assert fault_server.hits == 1
 
-    def test_shared_client_keeps_to_max_concurrency(self, fault_server):
-        fault_server.script = ["hold"]
-        client = ChatCompletionsClient(endpoint_cfg(base_url=fault_server.url, timeout_s=5, max_concurrency=2))
+    def test_shared_client_keeps_to_max_concurrency(self, keepalive_server):
+        keepalive_server.script = ["hold"]
+        client = ChatCompletionsClient(endpoint_cfg(base_url=keepalive_server.url, timeout_s=5, max_concurrency=2))
         with ThreadPoolExecutor(8) as pool:
             replies = list(pool.map(lambda _: client.complete_once("s", "u", SamplingParams()), range(24)))
-        assert len(replies) == fault_server.hits == 24
-        assert fault_server.peak == 2
+        assert len(replies) == keepalive_server.hits == 24
+        assert keepalive_server.peak == 2
+        assert keepalive_server.connections <= 2
+
+
+class TestConnectionPool:
+    """The client keeps its connections open between calls, at most max_concurrency of them."""
+
+    def test_sequential_calls_use_one_connection(self, keepalive_server):
+        client = ChatCompletionsClient(endpoint_cfg(base_url=keepalive_server.url, timeout_s=5))
+        for _ in range(20):
+            client.complete_once("s", "u", SamplingParams())
+        assert (keepalive_server.hits, keepalive_server.connections) == (20, 1)
+
+    def test_connection_the_server_dropped_is_reopened_not_retried(self, keepalive_server):
+        keepalive_server.close_after = 3
+        ranker = LlmRanker(endpoint_cfg(base_url=keepalive_server.url, timeout_s=5, max_retries=1))
+        responses = [ranker(make_request(k=4, request_id=f"req{i}")) for i in range(10)]
+        assert all(r.retry_count == 0 and not r.degraded for r in responses)
+        assert keepalive_server.hits == 10  # one request per call: the dropped one never reached a handler
+        assert keepalive_server.connections == 4
+
+    @pytest.mark.parametrize("fault,error", [("short", http.client.IncompleteRead), ("hang", TimeoutError)])
+    def test_failure_on_a_reused_connection_is_not_reopened(self, fault, error, keepalive_server):
+        keepalive_server.script = ["ok", fault, "ok"]
+        client = ChatCompletionsClient(endpoint_cfg(base_url=keepalive_server.url, timeout_s=0.2))
+        client.complete_once("s", "u", SamplingParams())
+        with pytest.raises(TransportFailure) as failure:
+            client.complete_once("s", "u", SamplingParams())
+        assert isinstance(failure.value.__cause__, error)
+        client.complete_once("s", "u", SamplingParams())
+        assert (keepalive_server.hits, keepalive_server.connections) == (3, 2)
+
+    def test_a_connection_that_cannot_be_built_frees_its_slot(self, keepalive_server, monkeypatch):
+        import ssl
+
+        def no_ca_store(*args, **kwargs):
+            raise ssl.SSLError("no CA store")
+
+        monkeypatch.setattr(ssl, "create_default_context", no_ca_store)
+        url = keepalive_server.url.replace("http:", "https:")
+        client = ChatCompletionsClient(endpoint_cfg(base_url=url, timeout_s=5, max_concurrency=1))
+        errors = []
+        # with its one slot lost, the second call would wait for good
+        calls = threading.Thread(target=lambda: errors.extend(
+            pytest.raises(TransportFailure, client.complete_once, "s", "u", SamplingParams()) for _ in range(2)
+        ), daemon=True)
+        calls.start()
+        calls.join(5)
+        assert not calls.is_alive()
+        assert len(errors) == 2 and all(isinstance(e.value.__cause__, ssl.SSLError) for e in errors)
+
+    def test_https_builds_one_ssl_context_across_retries(self, keepalive_server, monkeypatch):
+        import ssl
+
+        contexts = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda *a, **kw: contexts.append(create(*a, **kw)) or contexts[-1])
+        url = keepalive_server.url.replace("http:", "https:")
+        ranker = LlmRanker(endpoint_cfg(base_url=url, timeout_s=0.3, max_retries=2, max_concurrency=4))
+        with ThreadPoolExecutor(8) as pool:  # four threads open their first connection at once
+            responses = list(pool.map(lambda i: ranker(make_request(k=4, request_id=f"req{i}")), range(8)))
+        assert all((r.degraded, r.retry_count) == (True, 1) for r in responses)
+        assert len(contexts) == 1
+        assert keepalive_server.hits == 0
 
 
 class TestEndpointFanOut:
@@ -764,6 +865,59 @@ class TestEndpointFanOut:
             verdicts = self._judge_verdicts(windows, corpus)
             kept, failed = sum("no" not in v for v in verdicts), sum("maybe" in v for v in verdicts)
             assert f"kept {kept}/{len(windows)} windows under strategy llm_filter ({failed} kept after judge failure)" in outputs[0][2]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Corpus, labels, pools and windows for 3 jobs, small enough to run each endpoint stage 9 times."""
+    root = tmp_path_factory.mktemp("interleave")
+    for args in (["gen-synthetic", "--out-dir", root, "--n-jobs", "3", "--n-background", "30", "--seed", "3"],
+                 ["build-windows", "--corpus", root / "corpus.jsonl", "--labels", root / "labels.jsonl",
+                  "--pools", root / "pools.jsonl", "--out", root / "windows.jsonl"]):
+        result = CliRunner().invoke(main, [str(arg) for arg in args])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+class TestInterleaving:
+    """Answers that arrive out of order write the same bytes.
+
+    Each reply comes 0-15 ms late, by a seeded draw, so concurrent calls
+    finish in a shuffled order; the answer itself is a hash of the prompt.
+    The parallelism is 1, 2 or 4: ``max_concurrency``, and ``--jobs`` too
+    for the commands that take it.
+    """
+
+    COMMANDS = {
+        "rerank": (["rerank", "--ranker", "endpoint", "--trace"], ("pools", "corpus", "labels"), True),
+        "annotate": (["annotate", "--ranker", "endpoint"], ("windows", "corpus", "labels"), True),
+        "distill": (["distill", "--teacher", "endpoint"], ("windows", "corpus", "labels"), False),
+        "filter": (["filter", "--strategy", "llm_filter"], ("windows", "corpus"), False),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_of_order_answers_write_the_same_bytes(self, command, keepalive_server, small_run, tmp_path):
+        args, inputs, takes_jobs = self.COMMANDS[command]
+        keepalive_server.script, keepalive_server.answer = ["late"], _hash_answer
+        written = {}
+        for seed in (1, 2, 3):
+            keepalive_server.delays = random.Random(seed)
+            for workers in (1, 2, 4):
+                endpoint = {"base_url": keepalive_server.url, "model": "m", "timeout_s": 5, "max_retries": 2,
+                            "retry_backoff_s": 0.0, "max_concurrency": workers}
+                config = tmp_path / f"config-{workers}.json"
+                config.write_text(json.dumps({"ranker": {"endpoint": endpoint}, "pipeline": {"annotate_trials": 2}}))
+                out = tmp_path / f"{seed}-{workers}" / "out.jsonl"
+                result = CliRunner().invoke(main, [
+                    *args, *(f"--{name}={small_run / name}.jsonl" for name in inputs),
+                    "--config", str(config), "--out", str(out), *(["--jobs", str(workers)] if takes_jobs else []),
+                ])
+                assert result.exit_code == 0, result.output
+                written[seed, workers] = {path.name: path.read_bytes() for path in out.parent.iterdir()}
+        assert keepalive_server.peak > 1  # calls did overlap
+        first = written[1, 1]
+        assert len(first) == (3 if command == "rerank" else 2) and all(first.values())
+        assert all(files == first for files in written.values())
 
 
 def test_worker_rule():

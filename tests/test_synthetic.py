@@ -76,7 +76,7 @@ class TestGenerate:
         for pool_size in (0, 1):  # a short pool would hold no candidate
             with pytest.raises(ConfigError, match="pool_size must be an integer >= 2"):
                 SyntheticConfig(pool_size=pool_size)
-        with pytest.raises(ConfigError, match="frac_short_pool must be >= 0"):
+        with pytest.raises(ConfigError, match="frac_short_pool must be a finite number >= 0"):
             SyntheticConfig(frac_short_pool=-0.1)
 
 

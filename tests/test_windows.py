@@ -331,7 +331,7 @@ class TestLlmJudge:
             def json(self):
                 return {"choices": [{"message": {"content": self._content}}]}
 
-        def post(url, json=None, headers=None, timeout=None):
+        def post(conn, path, json=None, headers=None):
             reply = replies[min(calls["n"], len(replies) - 1)]
             calls["n"] += 1
             if reply is None:
