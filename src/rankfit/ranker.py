@@ -297,12 +297,18 @@ class EndpointConfig:
 
         try:  # reading .port raises ValueError unless it is a number in 0-65535
             parts = urlsplit(self.base_url)
-            usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+            usable = (
+                parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+                # it goes on the request line and in Host as written; urlsplit drops tabs and newlines
+                and re.fullmatch(r"[!-~]+", self.base_url) and not re.search("[?#]", self.base_url)
+                and "@" not in parts.netloc
+            )
         except (AttributeError, ValueError):
             usable = False
         if not usable:
             raise ConfigError(
-                f"endpoint base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
+                "endpoint base_url must be an http:// or https:// URL with a host, in printable ASCII with no "
+                f"space, user info, query or fragment, got {self.base_url!r}"
             )
         check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
         check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
@@ -320,23 +326,135 @@ class TransportFailure(Exception):
         self.retry_after = retry_after
 
 
-def _requests_post(conn, path, json=None, headers=None):
-    """POST ``json`` to ``path`` on the ``http.client`` connection ``conn``; returns ``status_code``, ``headers`` and ``json()``.
+class BadReply(OSError):
+    """A reply that breaks HTTP/1.1 framing, runs past http.client's size limits, or ends short of its body."""
 
-    The connection opens on first use and stays open after the reply unless
-    the server closes it. The name stays until the next benchmark change,
-    because the benchmark's ``ranker.transport`` span binds to it.
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)[ \r\n]")
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")  # chunk extensions are ignored
+_MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's limits
+
+
+def _readline(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise BadReply(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_exactly(rfile, n: int) -> bytes:
+    """``n`` body bytes, read a MiB at most at a time: ``read(n)`` allocates all ``n`` before any arrive."""
+    parts, missing = [], n
+    while missing:
+        part = rfile.read(min(missing, 1 << 20))
+        if not part:
+            raise BadReply(f"reply cut short: {n - missing} of {n} body bytes")
+        parts.append(part)
+        missing -= len(part)
+    return b"".join(parts)
+
+
+def _read_fields(rfile) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line, keyed by ``name.title()``."""
+    fields = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _readline(rfile)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        field = _FIELD.fullmatch(line)
+        if not field:
+            raise BadReply(f"bad header line {line[:80]!r}")
+        fields[field[1].decode().title()] = field[2].decode("latin-1")
+    raise BadReply(f"more than {_MAX_HEADERS} header lines")
+
+
+def _read_chunk(rfile) -> bytes:
+    """The next chunk's data, without the line end after it; b"" for the last chunk."""
+    size = _CHUNK_SIZE.fullmatch(_readline(rfile))
+    if not size:
+        raise BadReply("bad chunk size line")
+    n = int(size[1], 16)
+    return _read_exactly(rfile, n + 2)[:n] if n else b""
+
+
+def _read_reply(rfile) -> tuple[int, dict[str, str], bytes, bool]:
+    """One reply as (status, headers, body, whether the connection closes after it); RFC 9112 section 6."""
+    status = 100
+    while status < 200:  # an interim 1xx reply is a status line and headers
+        line = _readline(rfile)
+        if not line:
+            raise ConnectionResetError("connection closed before the reply")
+        status_line = _STATUS_LINE.match(line)
+        if not status_line:
+            raise BadReply(f"bad status line {line[:80]!r}")
+        status, fields = int(status_line[2]), _read_fields(rfile)
+    tokens = {token.strip() for token in fields.get("Connection", "").lower().split(",")}
+    close = "close" in tokens or (status_line[1] == b"0" and "keep-alive" not in tokens)
+    coding, length = fields.get("Transfer-Encoding", "").lower(), fields.get("Content-Length")
+    if coding.rpartition(",")[2].strip() == "chunked":
+        body = b"".join(iter(lambda: _read_chunk(rfile), b""))
+        _read_fields(rfile)  # trailers
+    elif length is not None and not coding:
+        if not length.isdecimal():
+            raise BadReply(f"bad Content-Length {length[:80]!r}")
+        body = _read_exactly(rfile, int(length))
+    else:
+        body, close = rfile.read(), True
+    return status, fields, body, close
+
+
+class _Connection:
+    """One socket to ``url``'s host, opened by ``open``; ``sock`` is None while it is closed."""
+
+    def __init__(self, url, timeout_s: float, ssl_context=None):
+        self.url, self.timeout_s, self.ssl_context = url, timeout_s, ssl_context
+        self.sock = self.rfile = None
+
+    def open(self):
+        import socket
+
+        host = self.url.hostname
+        sock = socket.create_connection((host, self.url.port or (443 if self.ssl_context else 80)), self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.ssl_context is not None:
+            sock = self.ssl_context.wrap_socket(sock, server_hostname=host)
+        self.sock, self.rfile = sock, sock.makefile("rb")
+        return sock
+
+    def close(self):
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
+
+
+def _requests_post(conn, path, json=None, headers=None):
+    """POST ``json`` to ``path`` on the ``_Connection`` ``conn``; returns ``status_code``, ``headers`` and ``json()``.
+
+    The request goes out in one write and ``_read_reply`` reads the reply.
+    The connection opens on first use and stays open unless the reply closes
+    it. The name stays until the next benchmark change, because the
+    benchmark's ``ranker.transport`` span binds to it.
     """
     import socket
     from json import dumps, loads
     from types import SimpleNamespace
 
-    conn.request("POST", path, body=dumps(json).encode(), headers=headers or {})
+    body = dumps(json).encode()
+    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: {conn.url.netloc}\r\nAccept-Encoding: identity\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{extra}\r\n"
+    )
+    sock = conn.sock or conn.open()
+    sock.sendall(head.encode("latin-1") + body)
     if hasattr(socket, "TCP_QUICKACK"):  # ack the reply's headers at once, so a Nagle-bound body is not held ~40 ms
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-    resp = conn.getresponse()
-    body = resp.read()
-    return SimpleNamespace(status_code=resp.status, headers=resp.headers, json=lambda: loads(body))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    status, fields, reply, close = _read_reply(conn.rfile)
+    if close:
+        conn.close()
+    return SimpleNamespace(status_code=status, headers=fields, json=lambda: loads(reply))
 
 
 def _close_idle(pool: queue.Queue) -> None:
@@ -378,20 +496,21 @@ class ChatCompletionsClient:
                 raise ConfigError(
                     f"API key environment variable {cfg.api_key_env!r} is not set"
                 )
+            if not (self._api_key.isascii() and self._api_key.isprintable()):  # it is written into a header as is
+                raise ConfigError(
+                    f"API key environment variable {cfg.api_key_env!r} holds a control or non-ASCII character"
+                )
 
-    def _connect(self):
+    def _connect(self) -> _Connection:
         """A connection to the endpoint's host; it opens its socket on first use."""
-        import http.client
-
-        host, port, timeout = self._url.hostname, self._url.port, self.cfg.timeout_s
         if self._url.scheme == "http":
-            return http.client.HTTPConnection(host, port, timeout=timeout)
+            return _Connection(self._url, self.cfg.timeout_s)
         with self._ssl_lock:  # one context per client: each one loads the CA store
             if self._ssl_context is None:
                 import ssl
 
                 self._ssl_context = ssl.create_default_context()
-        return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._ssl_context)
+        return _Connection(self._url, self.cfg.timeout_s, self._ssl_context)
 
     def _exchange(self, payload: dict, headers: dict):
         """One POST on a pooled connection; a kept-alive one that the server dropped is reopened once."""
@@ -402,7 +521,7 @@ class ChatCompletionsClient:
             if conn.sock is not None:  # kept alive: the server may have closed it while it sat idle
                 try:
                     return post(conn, self._path, json=payload, headers=headers)
-                except (ConnectionResetError, BrokenPipeError):  # http.client's RemoteDisconnected included
+                except (ConnectionResetError, BrokenPipeError):  # closed before the reply: see _read_reply
                     conn.close()
             return post(conn, self._path, json=payload, headers=headers)
         except BaseException:
@@ -413,7 +532,6 @@ class ChatCompletionsClient:
             self._pool.put(conn)
 
     def complete_once(self, system: str, user: str, sampling: SamplingParams) -> str:
-        import http.client
         payload = {
             "model": self.cfg.model,
             "messages": [
@@ -426,12 +544,10 @@ class ChatCompletionsClient:
         }
         if sampling.top_k is not None:
             payload["top_k"] = sampling.top_k
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
+        headers = {"Authorization": f"Bearer {self._api_key}"} if self._api_key else {}
         try:
             resp = self._exchange(payload, headers)
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
         if resp.status_code in (401, 403):
             raise ConfigError(f"endpoint authentication failed (HTTP {resp.status_code})")

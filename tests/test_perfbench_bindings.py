@@ -110,3 +110,17 @@ def test_importing_the_cli_loads_no_network_module():
     code = "import sys, rankfit.cli; print(sorted({'http.client', 'socket', 'ssl'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_an_endpoint_call_loads_no_http_email_or_ssl_module(http_server):
+    """The client writes and reads HTTP/1.1 itself, so an ``http://`` call imports neither ``http.client`` nor ``email``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from rankfit.ranker import ChatCompletionsClient, EndpointConfig, SamplingParams\n"
+        f"cfg = EndpointConfig(base_url={http_server!r}, model='m', timeout_s=5)\n"
+        "print(ChatCompletionsClient(cfg).complete_once('s', 'u', SamplingParams()))\n"
+        "print(sorted({'http.client', 'email', 'ssl'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()) == (0, ["<answer> [2] > [3] > [1] > [4] </answer>", "[]"]), proc.stderr

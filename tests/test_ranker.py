@@ -1,10 +1,11 @@
 import hashlib
-import http.client
+import io
 import itertools
 import json
 import random
 import re
 import socket
+import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from rankfit.errors import ConfigError, MalformedAnswer
 from rankfit.ranker import (
     ANNOTATION_SAMPLING,
     JUDGE_QUESTION,
+    BadReply,
     ChatCompletionsClient,
     EndpointConfig,
     IdentityRanker,
@@ -657,14 +659,18 @@ def _closed_port_url():
 
 
 class TestTransportFaults:
-    """The standard-library transport against a server that misbehaves on purpose."""
+    """The client's own HTTP/1.1 exchange against a server that misbehaves on purpose.
+
+    A body cut short is a BadReply, and a connection closed before the reply
+    a ConnectionResetError; both are OSErrors, so each is a TransportFailure.
+    """
 
     @pytest.mark.parametrize(
         "fault,error",
         [
             ("hang", TimeoutError),
-            ("short", http.client.IncompleteRead),
-            ("close", http.client.RemoteDisconnected),
+            ("short", BadReply),
+            ("close", ConnectionResetError),
             ("refused", ConnectionRefusedError),
             ("tls", OSError),  # https against a plain-HTTP server: a TLS error or a handshake timeout
         ],
@@ -726,7 +732,7 @@ class TestConnectionPool:
         assert keepalive_server.hits == 10  # one request per call: the dropped one never reached a handler
         assert keepalive_server.connections == 4
 
-    @pytest.mark.parametrize("fault,error", [("short", http.client.IncompleteRead), ("hang", TimeoutError)])
+    @pytest.mark.parametrize("fault,error", [("short", BadReply), ("hang", TimeoutError)])
     def test_failure_on_a_reused_connection_is_not_reopened(self, fault, error, keepalive_server):
         keepalive_server.script = ["ok", fault, "ok"]
         client = ChatCompletionsClient(endpoint_cfg(base_url=keepalive_server.url, timeout_s=0.2))
@@ -769,6 +775,201 @@ class TestConnectionPool:
         assert all((r.degraded, r.retry_count) == (True, 1) for r in responses)
         assert len(contexts) == 1
         assert keepalive_server.hits == 0
+
+
+_OK_BODY = json.dumps({"choices": [{"message": {"content": "<answer> yes </answer>"}}]}).encode()
+
+
+def _length_reply(extra=b"", version=b"1.1"):
+    """A 200 reply framed by its Content-Length, with the header lines ``extra`` before it."""
+    return b"HTTP/%s 200 OK\r\n" % version + extra + b"Content-Length: %d\r\n\r\n" % len(_OK_BODY) + _OK_BODY
+
+
+class _FakeSocket:
+    """A socket connected to ``address`` that records each ``sendall`` and reads back ``reply``."""
+
+    def __init__(self, address, reply):
+        self.address, self.sent, self.reply, self.closed = address, [], reply, False
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+    def setsockopt(self, *args):
+        pass
+
+    def makefile(self, mode):
+        return io.BytesIO(self.reply)
+
+    def close(self):
+        self.closed = True
+
+
+def _fake_sockets(monkeypatch, reply):
+    """Each new connection gets a _FakeSocket that reads back ``reply``; returns the list they go in."""
+    sockets = []
+    monkeypatch.setattr(socket, "create_connection", lambda *args: sockets.append(_FakeSocket(args, reply)) or sockets[-1])
+    return sockets
+
+
+class TestWireFormat:
+    """Each request goes out in one write: the request line, these headers and the JSON body."""
+
+    @pytest.mark.parametrize("key", [None, "sk-1"])
+    @pytest.mark.parametrize(
+        "base_url,address,host",
+        [("http://example.test:8080/api", ("example.test", 8080), "example.test:8080"), ("http://[::1]", ("::1", 80), "[::1]")],
+    )
+    def test_one_write_per_request_with_the_exact_head(self, base_url, address, host, key, monkeypatch):
+        sockets = _fake_sockets(monkeypatch, _length_reply() * 2)
+        monkeypatch.setenv("RANKFIT_TEST_KEY", key or "")
+        client = ChatCompletionsClient(endpoint_cfg(base_url=base_url, timeout_s=5, api_key_env=key and "RANKFIT_TEST_KEY"))
+        for _ in range(2):
+            assert client.complete_once("s", "u", SamplingParams()) == "<answer> yes </answer>"
+        assert [s.address for s in sockets] == [(address, 5)]
+        assert len(sockets[0].sent) == 2  # one write per request, on one kept-alive socket
+        for sent in sockets[0].sent:
+            head, _, body = sent.partition(b"\r\n\r\n")
+            assert head.decode().split("\r\n") == [
+                f"POST {base_url.partition(host)[2]}/v1/chat/completions HTTP/1.1",
+                f"Host: {host}",
+                "Accept-Encoding: identity",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ] + ([f"Authorization: Bearer {key}"] if key else [])
+            assert [m["content"] for m in json.loads(body)["messages"]] == ["s", "u"]
+
+    @pytest.mark.parametrize(
+        "reply,writes",
+        [
+            (_length_reply(b"Connection: close\r\n"), [1, 1, 1]),
+            (_length_reply(version=b"1.0"), [1, 1, 1]),
+            (b"HTTP/1.0 200 OK\r\n\r\n" + _OK_BODY, [1, 1, 1]),  # the body runs to EOF
+            (b"HTTP/1.1 200 OK\r\n\r\n" + _OK_BODY, [1, 1, 1]),
+            (_length_reply() * 3, [3]),
+            (_length_reply(b"Connection: keep-alive\r\n", b"1.0") * 3, [3]),
+        ],
+        ids=["connection-close", "http-1.0", "http-1.0-eof", "http-1.1-eof", "http-1.1", "http-1.0-keep-alive"],
+    )
+    def test_a_reply_that_closes_the_connection_is_its_last(self, reply, writes, monkeypatch):
+        sockets = _fake_sockets(monkeypatch, reply)
+        client = ChatCompletionsClient(endpoint_cfg(base_url="http://example.test", timeout_s=5))
+        for _ in range(3):
+            assert client.complete_once("s", "u", SamplingParams()) == "<answer> yes </answer>"
+        assert [len(s.sent) for s in sockets] == writes
+        assert all(s.closed for s in sockets) == (writes == [1, 1, 1])
+
+
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    """Reads each request and writes the next of ``server.replies`` byte for byte; the last one repeats.
+
+    The connection closes after a reply that says ``Connection: close`` or
+    an HTTP/1.0 reply. ``server.requests`` holds each request as read, and
+    ``server.connections`` counts the connections accepted.
+    """
+
+    def handle(self):
+        server = self.server
+        with server.lock:
+            server.connections += 1
+        while True:
+            lines = [self.rfile.readline()]
+            while lines[-1] not in (b"\r\n", b""):
+                lines.append(self.rfile.readline())
+            if not lines[-1]:
+                return  # the client closed the connection
+            head = b"".join(lines)
+            body = self.rfile.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+            with server.lock:
+                server.requests.append(head + body)
+                reply = server.replies[min(len(server.requests), len(server.replies)) - 1]
+            self.wfile.write(reply)
+            if b"Connection: close" in reply or reply.startswith(b"HTTP/1.0"):
+                return
+
+
+class _ScriptedServer(socketserver.ThreadingTCPServer):
+    daemon_threads, block_on_close = True, False
+
+
+@pytest.fixture
+def scripted_server():
+    server = _ScriptedServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.requests, server.connections, server.lock = [_length_reply()], [], 0, threading.Lock()
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+_HALF = len(_OK_BODY) // 2
+_HEADERS_99 = b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(99))
+
+
+class TestReplyReader:
+    """Replies framed each way RFC 9112 allows, and replies past the reader's limits."""
+
+    @pytest.mark.parametrize(
+        "reply,connections",
+        [
+            (_length_reply(), 1),
+            (b"HTTP/1.1 200 OK\r\ncontent-length: %d\r\n\r\n%s" % (len(_OK_BODY), _OK_BODY), 1),
+            (_length_reply(b"Connection: close\r\n"), 3),
+            (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK_BODY, 3),  # the body runs to EOF
+            (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>; rel=preload\r\n\r\n" + _length_reply(), 1),
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+                % (_HALF, _OK_BODY[:_HALF], len(_OK_BODY) - _HALF, _OK_BODY[_HALF:]),
+                1,
+            ),
+            (_length_reply(b"X-Long: " + b"a" * (65536 - 10) + b"\r\n"), 1),  # a 65,536-byte line
+            (_length_reply(_HEADERS_99), 1),  # 100 header lines
+        ],
+        ids=["length", "lower-case", "close", "http-1.0-eof", "interim-1xx", "chunked", "longest-line", "most-headers"],
+    )
+    def test_reply_is_read_and_the_connection_kept_or_closed(self, reply, connections, scripted_server):
+        scripted_server.replies = [reply]
+        client = ChatCompletionsClient(endpoint_cfg(base_url=scripted_server.url, timeout_s=5))
+        for _ in range(3):
+            assert client.complete_once("s", "u", SamplingParams()) == "<answer> yes </answer>"
+        assert (len(scripted_server.requests), scripted_server.connections) == (3, connections)
+
+    @pytest.mark.parametrize(
+        "reply,message",
+        [
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65537 - 8), "reply line longer than 65536 bytes"),
+            (b"HTTP/1.1 200 OK\r\nX-A: 1\r\nX-B: 2\r\n" + _HEADERS_99, "more than 100 header lines"),  # a 101st
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size line"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length '-1'"),
+            # the server closes after 2 bytes; reading a length this size at once ends in MemoryError
+            (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 10000000000000\r\n\r\n{}",
+             "reply cut short: 2 of 10000000000000 body bytes"),
+            (b"HTTP/1.1 200 OK\r\nBad Name: 1\r\n\r\n", "bad header line"),
+            (b"ICY 200 OK\r\n\r\n", "bad status line"),
+        ],
+        ids=["line-too-long", "too-many-headers", "chunk-size", "content-length", "huge-content-length", "header-name",
+             "status-line"],
+    )
+    def test_reply_past_a_limit_or_unframed_is_a_retried_failure_not_a_hang(self, reply, message, scripted_server):
+        """The server sends no more after ``reply`` and keeps the connection open: reading on would wait out the timeout."""
+        scripted_server.replies = [reply]
+        cfg = endpoint_cfg(base_url=scripted_server.url, timeout_s=5, max_retries=2)
+        with pytest.raises(TransportFailure, match=re.escape(message)) as failure:
+            ChatCompletionsClient(cfg).complete_once("s", "u", SamplingParams())
+        assert isinstance(failure.value.__cause__, BadReply)
+        resp = LlmRanker(cfg)(make_request(k=4))
+        assert (resp.degraded, resp.retry_count) == (True, 1)
+        assert (len(scripted_server.requests), scripted_server.connections) == (3, 3)
+
+    def test_lower_case_retry_after_is_honoured(self, scripted_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        scripted_server.replies = [b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 3\r\ncontent-length: 2\r\n\r\n{}", _length_reply()]
+        client = ChatCompletionsClient(endpoint_cfg(base_url=scripted_server.url, timeout_s=5, retry_backoff_s=30))
+        assert client.complete("s", "u", SamplingParams(), parse_judge_answer)[1:] == (True, 1)
+        assert sleeps == [3]
+        assert (len(scripted_server.requests), scripted_server.connections) == (2, 1)
 
 
 class TestEndpointFanOut:
