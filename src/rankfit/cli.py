@@ -217,6 +217,8 @@ def _make_ranker(name: str, p_flip: float, seed: int, config: dict, labels):
 
     Only the oracle rankers call ``labels()`` for the label list.
     """
+    if not 0 <= p_flip <= 1:  # every ranker's settings record it; nan fails too, and is not JSON
+        raise ConfigError(f"p_flip must be a number in [0, 1], got {p_flip!r}")
     settings = {"name": name, "p_flip": p_flip}
     if name == "oracle":
         return OracleRanker(accepted_by_job(labels())), settings

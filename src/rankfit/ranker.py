@@ -21,6 +21,7 @@ occurrence, and missing slots are appended in ascending order.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import queue
@@ -312,7 +313,9 @@ class EndpointConfig:
             )
         check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
         check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
-        check_fields(self, ("max_retries", "max_concurrency"), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
+        check_fields(self, ("max_retries",), int, lambda v: v >= 1, "an integer >= 1", "endpoint ")
+        # a pool slot each, made up front, may hold a socket; 1024 is Linux's default open-file limit
+        check_fields(self, ("max_concurrency",), int, lambda v: 1 <= v <= 1024, "an integer in [1, 1024]", "endpoint ")
         # socket.settimeout and time.sleep overflow far above a day
         check_fields(self, ("timeout_s",), float, lambda v: 0 < v <= 86400, "a finite number in (0, 86400]", "endpoint ")
         check_fields(self, ("retry_backoff_s",), float, lambda v: 0 <= v <= 86400, "a finite number in [0, 86400]", "endpoint ")
@@ -429,20 +432,18 @@ class _Connection:
             self.sock = self.rfile = None
 
 
-def _requests_post(conn, path, json=None, headers=None):
-    """POST ``json`` to ``path`` on the ``_Connection`` ``conn``; returns ``status_code``, ``headers`` and ``json()``.
+def _requests_post(conn, path: str, payload: dict, headers: dict) -> tuple[int, dict[str, str], bytes]:
+    """POST ``payload`` as JSON to ``path`` on the ``_Connection`` ``conn``; returns (status, headers, body).
 
     The request goes out in one write and ``_read_reply`` reads the reply.
     The connection opens on first use and stays open unless the reply closes
-    it. The name stays until the next benchmark change, because the
-    benchmark's ``ranker.transport`` span binds to it.
+    it. The client looks this name up per call: the benchmark's
+    ``ranker.transport`` span rebinds it, and a test fakes the endpoint so.
     """
     import socket
-    from json import dumps, loads
-    from types import SimpleNamespace
 
-    body = dumps(json).encode()
-    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+    body = json.dumps(payload).encode()
+    extra = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
     head = (
         f"POST {path} HTTP/1.1\r\nHost: {conn.url.netloc}\r\nAccept-Encoding: identity\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{extra}\r\n"
@@ -454,7 +455,7 @@ def _requests_post(conn, path, json=None, headers=None):
     status, fields, reply, close = _read_reply(conn.rfile)
     if close:
         conn.close()
-    return SimpleNamespace(status_code=status, headers=fields, json=lambda: loads(reply))
+    return status, fields, reply
 
 
 def _close_idle(pool: queue.Queue) -> None:
@@ -474,11 +475,10 @@ class ChatCompletionsClient:
     ``complete`` retries along with answers its parser rejects.
     """
 
-    def __init__(self, cfg: EndpointConfig, post=None):
+    def __init__(self, cfg: EndpointConfig):
         from urllib.parse import urlsplit
 
         self.cfg = cfg
-        self._post = post
         self._url = urlsplit(cfg.base_url)
         self._path = self._url.path.rstrip("/") + "/v1/chat/completions"
         # taking a slot is the concurrency gate; a slot holds a connection, or None until its first call
@@ -512,18 +512,17 @@ class ChatCompletionsClient:
                 self._ssl_context = ssl.create_default_context()
         return _Connection(self._url, self.cfg.timeout_s, self._ssl_context)
 
-    def _exchange(self, payload: dict, headers: dict):
+    def _exchange(self, payload: dict, headers: dict) -> tuple[int, dict[str, str], bytes]:
         """One POST on a pooled connection; a kept-alive one that the server dropped is reopened once."""
-        post = self._post or _requests_post  # looked up per call: the benchmark rebinds the module's name
         conn = self._pool.get()
         try:
             conn = conn or self._connect()
             if conn.sock is not None:  # kept alive: the server may have closed it while it sat idle
                 try:
-                    return post(conn, self._path, json=payload, headers=headers)
+                    return _requests_post(conn, self._path, payload, headers)
                 except (ConnectionResetError, BrokenPipeError):  # closed before the reply: see _read_reply
                     conn.close()
-            return post(conn, self._path, json=payload, headers=headers)
+            return _requests_post(conn, self._path, payload, headers)
         except BaseException:
             if conn:
                 conn.close()  # the slot goes back with no socket
@@ -546,24 +545,24 @@ class ChatCompletionsClient:
             payload["top_k"] = sampling.top_k
         headers = {"Authorization": f"Bearer {self._api_key}"} if self._api_key else {}
         try:
-            resp = self._exchange(payload, headers)
+            status, fields, body = self._exchange(payload, headers)
         except OSError as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise ConfigError(f"endpoint authentication failed (HTTP {resp.status_code})")
+        if status in (401, 403):
+            raise ConfigError(f"endpoint authentication failed (HTTP {status})")
         # a retry repeats these (bad payload, unknown model or route)
-        if resp.status_code in (400, 404, 422):
+        if status in (400, 404, 422):
             raise ConfigError(
-                f"endpoint rejected the request (HTTP {resp.status_code}); "
+                f"endpoint rejected the request (HTTP {status}); "
                 f"check the model name {self.cfg.model!r} and base_url"
             )
-        if resp.status_code >= 400:
-            wait = resp.headers.get("Retry-After", "") if resp.status_code in (429, 503) else ""
+        if status >= 400:
+            wait = fields.get("Retry-After", "") if status in (429, 503) else ""
             raise TransportFailure(  # an HTTP-date or any other non-integer is not used
-                f"HTTP {resp.status_code}", int(wait) if wait.strip().isdecimal() else None
+                f"HTTP {status}", int(wait) if wait.strip().isdecimal() else None
             )
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportFailure(f"malformed response body: {exc}") from exc
         if not isinstance(content, str):
@@ -607,8 +606,8 @@ class LlmRanker:
     problems and rejected requests are fatal.
     """
 
-    def __init__(self, cfg: EndpointConfig, post=None):
-        self._client = ChatCompletionsClient(cfg, post)
+    def __init__(self, cfg: EndpointConfig):
+        self._client = ChatCompletionsClient(cfg)
         self.cfg = cfg
 
     def __call__(self, req: RankRequest) -> RankResponse:

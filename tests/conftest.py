@@ -4,11 +4,13 @@ import random
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import rankfit.ranker
 from rankfit.core import Document, KIND_JOB, KIND_RESUME, RankedPool
 from rankfit.windows import Window
 
@@ -109,47 +111,126 @@ def run_rankfit(args, timeout=60):
     return report["exit"], "\n".join(lines) + proc.stderr, report["loaded"]
 
 
-_ERROR_STATUS = {"error": 500, "not_found": 404}
+def chat_body(content) -> bytes:
+    """A chat-completions reply body whose one choice's message content is ``content``."""
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
 
-class ChatHandler(BaseHTTPRequestHandler):
-    """A chat-completions endpoint answering [2] > [3] > [1] > [4], or the error status ``behavior`` names."""
+@pytest.fixture
+def fake_endpoint(monkeypatch):
+    """Replaces the client's transport ``rankfit.ranker._requests_post``; no socket is opened.
 
-    behavior = "ok"
-    hits = 0
-    last_body = None
+    The n-th request gets ``replies[n]``, and the last one repeats. A string
+    is a 200 reply with that message content, bytes a 200 reply with that
+    body, an int a reply with that status, ``(status, headers)`` the same
+    with headers, and an exception is raised. ``requests`` holds each
+    request's (path, payload, headers).
+    """
+    endpoint = SimpleNamespace(replies=[], requests=[])
+
+    def post(conn, path, payload, headers):
+        reply = endpoint.replies[min(len(endpoint.requests), len(endpoint.replies) - 1)]
+        endpoint.requests.append((path, payload, headers))
+        if isinstance(reply, BaseException):
+            raise reply
+        if isinstance(reply, str):
+            reply = chat_body(reply)
+        if isinstance(reply, bytes):
+            return 200, {}, reply
+        status, fields = reply if isinstance(reply, tuple) else (reply, {})
+        return status, fields, b"{}"
+
+    monkeypatch.setattr(rankfit.ranker, "_requests_post", post)
+    return endpoint
+
+
+class _FaultHandler(BaseHTTPRequestHandler):
+    """Replies to the n-th request as ``server.script[n]`` says; the last entry repeats.
+
+    "ok" answers ``server.answer(user prompt)``; "hold" answers the same
+    after 50 ms; "late" after a delay of 0-15 ms drawn from ``server.delays``;
+    "short" sends a body 50 bytes short of its Content-Length and closes;
+    "close" and "hang" close without a reply, "hang" only once
+    ``server.release`` is set; ``(status, headers)`` sends that status.
+    ``server.peak`` is the most requests in progress at once,
+    ``server.connections`` the connections accepted and ``server.last_body``
+    the last request's JSON. A connection closes after its
+    ``server.close_after``-th reply, with no ``Connection: close``.
+    """
+
+    def setup(self):
+        super().setup()
+        self.replies = 0
+        with self.server.lock:
+            self.server.connections += 1
 
     def do_POST(self):
-        type(self).hits += 1
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).last_body = body
-        assert body["messages"][0]["role"] == "system"
-        if type(self).behavior in _ERROR_STATUS:
-            self.send_response(_ERROR_STATUS[type(self).behavior])
-            self.end_headers()
+        server = self.server
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            fault = server.script[min(server.hits, len(server.script) - 1)]
+            server.hits += 1
+            server.last_body = request
+            server.open += 1
+            server.peak = max(server.peak, server.open)
+            delay = server.delays.uniform(0, 0.015) if fault == "late" else 0
+        if fault == "hang":
+            server.release.wait(30)
+        elif fault in ("hold", "late"):
+            server.release.wait(0.05 if fault == "hold" else delay)
+        with server.lock:
+            server.open -= 1  # before the reply, which lets the client open its next connection
+        self.replies += 1
+        if fault in ("hang", "close", "short") or self.replies == server.close_after:
+            self.close_connection = True
+        if fault in ("hang", "close"):
             return
-        reply = {
-            "choices": [
-                {"message": {"content": "<answer> [2] > [3] > [1] > [4] </answer>"}}
-            ]
-        }
-        payload = json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        status, headers = fault if isinstance(fault, tuple) else (200, {})
+        body = chat_body(server.answer(request["messages"][1]["content"])) if status == 200 else b"{}"
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body) + (50 if fault == "short" else 0)))
         self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write(body)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), ChatHandler)
+class _KeepAliveHandler(_FaultHandler):
+    """The same replies over HTTP/1.1, so a connection stays open between requests."""
+
+    protocol_version = "HTTP/1.1"
+
+
+def _serve(handler, answer="<answer> [1] > [2] > [3] > [4] </answer>"):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.script, server.hits, server.open, server.peak, server.connections = ["ok"], 0, 0, 0, 0
+    server.close_after, server.delays, server.last_body = None, random.Random(0), None
+    server.answer = lambda user: answer
+    server.lock, server.release = threading.Lock(), threading.Event()
+    server.url = f"http://127.0.0.1:{server.server_port}"
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield server
+    server.release.set()
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    """A chat-completions endpoint at ``.url`` answering [2] > [3] > [1] > [4]; HTTP/1.0, like fault_server."""
+    yield from _serve(_FaultHandler, "<answer> [2] > [3] > [1] > [4] </answer>")
+
+
+@pytest.fixture
+def fault_server():
+    """HTTP/1.0: the server closes every connection after its reply."""
+    yield from _serve(_FaultHandler)
+
+
+@pytest.fixture
+def keepalive_server():
+    yield from _serve(_KeepAliveHandler)

@@ -11,7 +11,7 @@ from rankfit.engine import EngineConfig, evaluate_run
 from rankfit.grpo import GrpoConfig
 from rankfit.ranker import NoisyOracleRanker
 
-from conftest import ChatHandler, make_job, make_resume, make_window, run_rankfit
+from conftest import make_job, make_resume, make_window, run_rankfit
 from oracles import naive_ndcg, naive_recall
 
 
@@ -930,6 +930,19 @@ def test_jobs_below_one_exits_2(command, jobs, input_files, runner, tmp_path):
     assert not list(tmp_path.glob("*.json*"))  # no output written
 
 
+@pytest.mark.parametrize("p_flip", ["nan", "1.5"])
+@pytest.mark.parametrize("ranker", ["oracle", "identity"])
+@pytest.mark.parametrize("command", ["annotate", "rerank", "ablate", "distill"])
+def test_p_flip_out_of_range_exits_2_for_every_ranker(command, ranker, p_flip, input_files, runner, tmp_path):
+    """Each ranker's settings record --p-flip, and NaN is not JSON: it used to reach the meta file."""
+    files, _ = input_files
+    flag = "--teacher" if command == "distill" else "--ranker"
+    result = invoke(runner, [*_command_args(command, files, tmp_path), flag, ranker, "--p-flip", p_flip])
+    assert result.exit_code == 2, result.output
+    assert f"error: p_flip must be a number in [0, 1], got {p_flip}" in result.output
+    assert list(tmp_path.iterdir()) == []  # no output written
+
+
 def _annotated(files, tmp_path):
     """The windows file with r_bar set, half of the windows hard."""
     records = [json.loads(line) for line in files["windows"].read_text().splitlines()]
@@ -1074,6 +1087,7 @@ def test_evaluate_rejects_bad_reranked_sidecar(content, input_files, runner, tmp
         ("retry_backoff_s", 1e300),
         ("max_retries", "3"),
         ("max_concurrency", True),
+        ("max_concurrency", 1025),  # a pool slot each is made before the first call, in time linear in the count
         ("base_url", "localhost:9"),  # no scheme: every call used to retry, then degrade
         ("base_url", "ftp://127.0.0.1:9"),
         ("base_url", "http://:9"),
@@ -1231,13 +1245,13 @@ def test_pool_naming_a_wrong_document_exits_2_naming_the_line(command, how, inpu
 def test_endpoint_rerank_of_a_bad_pool_sends_no_request(how, http_server, input_files, runner, tmp_path):
     files, _ = input_files
     pools, line, message = _bad_pools(files, tmp_path, how)
-    endpoint = {"base_url": http_server, "model": "m", "timeout_s": 5, "retry_backoff_s": 0}
+    endpoint = {"base_url": http_server.url, "model": "m", "timeout_s": 5, "retry_backoff_s": 0}
     args = _command_args("rerank", {**files, "pools": pools}, tmp_path, {"ranker": {"endpoint": endpoint}})
-    hits = ChatHandler.hits
+    hits = http_server.hits
     result = invoke(runner, [*args, "--ranker", "endpoint"])
     assert result.exit_code == 2, result.output
     assert f"error: line {line}: {message}" in result.output
-    assert ChatHandler.hits == hits
+    assert http_server.hits == hits
 
 
 @pytest.mark.parametrize("job_id", [["j0000"], 5])

@@ -96,7 +96,7 @@ def test_transport_span_sees_every_exchange(http_server, monkeypatch):
     """The client looks ``_requests_post`` up per call, so the span the tracer rebinds there times each exchange."""
     ids = ["r1", "r2", "r3", "r4"]
     corpus = {"j1": make_job("j1"), **{rid: make_resume(rid) for rid in ids}}
-    ranker = LlmRanker(EndpointConfig(base_url=http_server, model="m", timeout_s=5))
+    ranker = LlmRanker(EndpointConfig(base_url=http_server.url, model="m", timeout_s=5))
     tracer = tracing.Tracer("bindings")
     monkeypatch.setattr(rankfit.ranker, "_requests_post", tracer.wrap("ranker.transport", rankfit.ranker._requests_post))
     for i in range(3):
@@ -118,7 +118,7 @@ def test_an_endpoint_call_loads_no_http_email_or_ssl_module(http_server):
     code = (
         "import sys\n"
         "from rankfit.ranker import ChatCompletionsClient, EndpointConfig, SamplingParams\n"
-        f"cfg = EndpointConfig(base_url={http_server!r}, model='m', timeout_s=5)\n"
+        f"cfg = EndpointConfig(base_url={http_server.url!r}, model='m', timeout_s=5)\n"
         "print(ChatCompletionsClient(cfg).complete_once('s', 'u', SamplingParams()))\n"
         "print(sorted({'http.client', 'email', 'ssl'} & set(sys.modules)))"
     )

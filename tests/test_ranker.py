@@ -9,7 +9,6 @@ import socketserver
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
@@ -39,7 +38,7 @@ from rankfit.ranker import (
 )
 from rankfit.windows import distill_sft, judge_windows, window_request
 
-from conftest import ChatHandler, corpus_for_windows, make_job, make_resume, make_window, run_rankfit
+from conftest import chat_body, corpus_for_windows, make_job, make_resume, make_window, run_rankfit
 
 
 def make_request(k=4, job_id="j1", hint=None, request_id="req"):
@@ -230,18 +229,6 @@ class TestReferenceRankers:
                 NoisyOracleRanker({}, p_flip=p_flip)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, content="", body=None, headers=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._body = body if body is not None else {
-            "choices": [{"message": {"content": content}}]
-        }
-
-    def json(self):
-        return self._body
-
-
 def endpoint_cfg(**overrides):
     defaults = dict(
         base_url="http://localhost:9", model="test-model", retry_backoff_s=0.0
@@ -258,44 +245,32 @@ def test_endpoint_seconds_are_bounded_at_one_day(key, rule):
 
 
 class TestLlmRanker:
-    def test_happy_path(self):
-        posts = []
+    """The client's status and body rules, against ``fake_endpoint`` in place of its transport."""
 
-        def post(conn, path, json=None, headers=None):
-            posts.append((path, json))
-            return FakeResponse(content="<answer> [2] > [3] > [1] > [4] </answer>")
-
-        ranker = LlmRanker(endpoint_cfg(), post=post)
+    def test_happy_path(self, fake_endpoint):
+        fake_endpoint.replies = ["<answer> [2] > [3] > [1] > [4] </answer>"]
+        ranker = LlmRanker(endpoint_cfg())
         resp = ranker(make_request(k=4))
         assert resp.ordering == [2, 3, 1, 4]
         assert resp.repaired is False
         assert resp.retry_count == 0
-        path, payload = posts[0]
+        path, payload, _ = fake_endpoint.requests[0]
         assert path == "/v1/chat/completions"
         assert payload["model"] == "test-model"
         assert [m["role"] for m in payload["messages"]] == ["system", "user"]
         assert {"temperature", "top_p", "max_tokens"} <= set(payload)
 
-    def test_two_timeouts_then_success(self):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise TimeoutError("timed out")
-            return FakeResponse(content="<answer> [1] > [2] > [3] > [4] </answer>")
-
-        resp = LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
+    def test_two_timeouts_then_success(self, fake_endpoint):
+        fake_endpoint.replies = [TimeoutError("timed out"), TimeoutError("timed out"), "<answer> [1] > [2] > [3] > [4] </answer>"]
+        resp = LlmRanker(endpoint_cfg())(make_request(k=4))
         assert resp.retry_count == 2
         assert resp.degraded is False
         assert resp.ordering == [1, 2, 3, 4]
 
-    def test_persistent_500_degrades_to_identity(self):
-        def post(conn, path, json=None, headers=None):
-            return FakeResponse(status_code=500)
-
+    def test_persistent_500_degrades_to_identity(self, fake_endpoint):
+        fake_endpoint.replies = [500]
         cfg = endpoint_cfg()
-        resp = LlmRanker(cfg, post=post)(make_request(k=4))
+        resp = LlmRanker(cfg)(make_request(k=4))
         assert resp.degraded is True
         assert resp.repaired is True
         assert resp.ordering == [1, 2, 3, 4]
@@ -303,60 +278,37 @@ class TestLlmRanker:
         assert resp.retry_count == cfg.max_retries - 1
         assert resp.latency_ms > 0
 
-    def test_malformed_answer_retried_then_degraded(self):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            calls["n"] += 1
-            return FakeResponse(content="I refuse to answer in the format")
-
-        resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
-        assert calls["n"] == 3
+    def test_malformed_answer_retried_then_degraded(self, fake_endpoint):
+        fake_endpoint.replies = ["I refuse to answer in the format"]
+        resp = LlmRanker(endpoint_cfg(max_retries=3))(make_request(k=4))
+        assert len(fake_endpoint.requests) == 3
         assert resp.degraded is True
 
     @pytest.mark.parametrize("content", [5, ["<answer> [1] > [2] </answer>"], {"text": "<answer> [1] > [2] </answer>"}, None])
-    def test_content_that_is_not_a_string_is_retried_then_degraded(self, content):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            calls["n"] += 1
-            return FakeResponse(content=content)
-
-        resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
-        assert calls["n"] == 3
+    def test_content_that_is_not_a_string_is_retried_then_degraded(self, content, fake_endpoint):
+        fake_endpoint.replies = [chat_body(content)]
+        resp = LlmRanker(endpoint_cfg(max_retries=3))(make_request(k=4))
+        assert len(fake_endpoint.requests) == 3
         assert resp.degraded is True and resp.ordering == [1, 2, 3, 4]
 
-    def test_auth_failure_is_fatal(self):
-        def post(conn, path, json=None, headers=None):
-            return FakeResponse(status_code=401)
-
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_failure_is_fatal(self, status, fake_endpoint):
+        fake_endpoint.replies = [status]
         with pytest.raises(ConfigError):
-            LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
+            LlmRanker(endpoint_cfg())(make_request(k=4))
 
     @pytest.mark.parametrize("status", [400, 404, 422])
-    def test_rejected_request_is_fatal_without_retry(self, status):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            calls["n"] += 1
-            return FakeResponse(status_code=status)
-
+    def test_rejected_request_is_fatal_without_retry(self, status, fake_endpoint):
+        fake_endpoint.replies = [status]
         with pytest.raises(ConfigError, match=f"HTTP {status}"):
-            LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
-        assert calls["n"] == 1
+            LlmRanker(endpoint_cfg(max_retries=3))(make_request(k=4))
+        assert len(fake_endpoint.requests) == 1
 
     @pytest.mark.parametrize("status", [408, 429, 502])
-    def test_transient_status_is_retried(self, status):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return FakeResponse(status_code=status)
-            return FakeResponse(content="<answer> [1] > [2] > [3] > [4] </answer>")
-
-        resp = LlmRanker(endpoint_cfg(max_retries=3), post=post)(make_request(k=4))
-        assert calls["n"] == 2
+    def test_transient_status_is_retried(self, status, fake_endpoint):
+        fake_endpoint.replies = [status, "<answer> [1] > [2] > [3] > [4] </answer>"]
+        resp = LlmRanker(endpoint_cfg(max_retries=3))(make_request(k=4))
+        assert len(fake_endpoint.requests) == 2
         assert resp.retry_count == 1
         assert resp.degraded is False
 
@@ -365,22 +317,15 @@ class TestLlmRanker:
         with pytest.raises(ConfigError):
             LlmRanker(endpoint_cfg(api_key_env="RANKFIT_TEST_KEY"))
 
-    def test_api_key_header_sent(self, monkeypatch):
+    def test_api_key_header_sent(self, fake_endpoint, monkeypatch):
         monkeypatch.setenv("RANKFIT_TEST_KEY", "sk-123")
-        seen = {}
+        fake_endpoint.replies = ["<answer> [1] > [2] </answer>"]
+        LlmRanker(endpoint_cfg(api_key_env="RANKFIT_TEST_KEY"))(make_request(k=2))
+        assert fake_endpoint.requests[0][2]["Authorization"] == "Bearer sk-123"
 
-        def post(conn, path, json=None, headers=None):
-            seen.update(headers)
-            return FakeResponse(content="<answer> [1] > [2] </answer>")
-
-        LlmRanker(endpoint_cfg(api_key_env="RANKFIT_TEST_KEY"), post=post)(make_request(k=2))
-        assert seen["Authorization"] == "Bearer sk-123"
-
-    def test_repaired_answer_flagged(self):
-        def post(conn, path, json=None, headers=None):
-            return FakeResponse(content="<answer> [2] > [2] > [1] </answer>")
-
-        resp = LlmRanker(endpoint_cfg(), post=post)(make_request(k=4))
+    def test_repaired_answer_flagged(self, fake_endpoint):
+        fake_endpoint.replies = ["<answer> [2] > [2] > [1] </answer>"]
+        resp = LlmRanker(endpoint_cfg())(make_request(k=4))
         assert resp.repaired is True
         assert sorted(resp.ordering) == [1, 2, 3, 4]
 
@@ -388,43 +333,32 @@ class TestLlmRanker:
 class TestClientComplete:
     """The one retry loop shared by LlmRanker and the llm_filter judge."""
 
-    def _client(self, replies, **cfg):
-        calls = {"n": 0}
-
-        def post(conn, path, json=None, headers=None):
-            reply = replies[min(calls["n"], len(replies) - 1)]
-            calls["n"] += 1
-            if isinstance(reply, int):
-                return FakeResponse(status_code=reply)
-            return FakeResponse(content=reply)
-
-        return ChatCompletionsClient(endpoint_cfg(**cfg), post=post), calls
-
-    def test_returns_content_parsed_answer_and_retries(self):
-        client, calls = self._client([503, "no answer here", "<answer> yes </answer>"])
-        content, verdict, retries = client.complete("s", "u", SamplingParams(), parse_judge_answer)
+    def test_returns_content_parsed_answer_and_retries(self, fake_endpoint):
+        fake_endpoint.replies = [503, "no answer here", "<answer> yes </answer>"]
+        content, verdict, retries = ChatCompletionsClient(endpoint_cfg()).complete("s", "u", SamplingParams(), parse_judge_answer)
         assert (content, verdict, retries) == ("<answer> yes </answer>", True, 2)
-        assert calls["n"] == 3
+        assert len(fake_endpoint.requests) == 3
 
-    def test_raises_last_error_after_max_retries(self):
-        client, calls = self._client([503, "no answer here"], max_retries=2)
+    def test_raises_last_error_after_max_retries(self, fake_endpoint):
+        fake_endpoint.replies = [503, "no answer here"]
         with pytest.raises(MalformedAnswer):
-            client.complete("s", "u", SamplingParams(), parse_judge_answer)
-        assert calls["n"] == 2
+            ChatCompletionsClient(endpoint_cfg(max_retries=2)).complete("s", "u", SamplingParams(), parse_judge_answer)
+        assert len(fake_endpoint.requests) == 2
 
     @pytest.mark.parametrize("content", [5, ["<answer> no </answer>"], {"text": "<answer> no </answer>"}, None])
-    def test_judge_keeps_and_lists_a_window_whose_content_is_not_a_string(self, content):
+    def test_judge_keeps_and_lists_a_window_whose_content_is_not_a_string(self, content, fake_endpoint):
         windows = [make_window()]
-        client = ChatCompletionsClient(endpoint_cfg(), post=lambda *args, **kwargs: FakeResponse(content=content))
+        fake_endpoint.replies = [chat_body(content)]
+        client = ChatCompletionsClient(endpoint_cfg())
         assert judge_windows(windows, client, corpus_for_windows(windows)) == (windows, ["j1/w0"])
         with pytest.raises(TransportFailure, match=f"content is {type(content).__name__}, not a string"):
             client.complete_once("s", "u", SamplingParams())
 
-    def test_fatal_status_is_not_retried(self):
-        client, calls = self._client([404, "<answer> yes </answer>"])
+    def test_fatal_status_is_not_retried(self, fake_endpoint):
+        fake_endpoint.replies = [404, "<answer> yes </answer>"]
         with pytest.raises(ConfigError, match="HTTP 404"):
-            client.complete("s", "u", SamplingParams(), parse_judge_answer)
-        assert calls["n"] == 1
+            ChatCompletionsClient(endpoint_cfg()).complete("s", "u", SamplingParams(), parse_judge_answer)
+        assert len(fake_endpoint.requests) == 1
 
     @pytest.mark.parametrize(
         "status,retry_after,waited",
@@ -439,29 +373,25 @@ class TestClientComplete:
             (500, "2", None),  # only 429 and 503 are honoured
         ],
     )
-    def test_retry_after_else_backoff(self, status, retry_after, waited, monkeypatch):
+    def test_retry_after_else_backoff(self, status, retry_after, waited, fake_endpoint, monkeypatch):
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        replies = [
-            FakeResponse(status_code=status, headers={} if retry_after is None else {"Retry-After": retry_after}),
-            FakeResponse(content="<answer> yes </answer>"),
-        ]
-        client = ChatCompletionsClient(
-            endpoint_cfg(timeout_s=5, retry_backoff_s=1.0), post=lambda *args, **kwargs: replies.pop(0)
-        )
+        fake_endpoint.replies = [(status, {} if retry_after is None else {"Retry-After": retry_after}), "<answer> yes </answer>"]
+        client = ChatCompletionsClient(endpoint_cfg(timeout_s=5, retry_backoff_s=1.0))
         assert client.complete("s", "u", SamplingParams(), parse_judge_answer)[1:] == (True, 1)
         if waited is None:
             assert len(sleeps) == 1 and 0.5 <= sleeps[0] < 1.5
         else:
             assert sleeps == [waited]
 
-    def test_backoff_jitter_leaves_seeded_streams_alone(self, monkeypatch):
+    def test_backoff_jitter_leaves_seeded_streams_alone(self, fake_endpoint, monkeypatch):
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
+        fake_endpoint.replies = [503]
         state = random.getstate()
         waits = []
         for _ in range(5):
-            client, _ = self._client([503], max_retries=4, retry_backoff_s=1.0)
+            client = ChatCompletionsClient(endpoint_cfg(max_retries=4, retry_backoff_s=1.0))
             with pytest.raises(TransportFailure, match="HTTP 503"):
                 client.complete("s", "u", SamplingParams(), parse_judge_answer)
             waits.append([wait / 2 ** i for i, wait in enumerate(sleeps)])
@@ -473,26 +403,24 @@ class TestClientComplete:
 
 class TestLlmRankerOverHttp:
     def test_real_transport_happy_path(self, http_server):
-        ChatHandler.behavior = "ok"
-        ranker = LlmRanker(endpoint_cfg(base_url=http_server, timeout_s=5))
+        ranker = LlmRanker(endpoint_cfg(base_url=http_server.url, timeout_s=5))
         resp = ranker(make_request(k=4))
         assert resp.ordering == [2, 3, 1, 4]
         assert resp.latency_ms > 0
 
     def test_top_k_sent_only_when_set(self, http_server):
-        ChatHandler.behavior = "ok"
-        client = ChatCompletionsClient(endpoint_cfg(base_url=http_server, timeout_s=5))
+        client = ChatCompletionsClient(endpoint_cfg(base_url=http_server.url, timeout_s=5))
         client.complete_once("system", "user", ANNOTATION_SAMPLING)
-        assert ChatHandler.last_body["top_k"] == 20
-        assert ChatHandler.last_body["top_p"] == 0.95
+        assert http_server.last_body["top_k"] == 20
+        assert http_server.last_body["top_p"] == 0.95
         client.complete_once("system", "user", SamplingParams())
-        assert "top_k" not in ChatHandler.last_body
+        assert "top_k" not in http_server.last_body
+        assert [m["role"] for m in http_server.last_body["messages"]] == ["system", "user"]
 
     def test_real_transport_500_degrades(self, http_server):
-        ChatHandler.behavior = "error"
-        ranker = LlmRanker(endpoint_cfg(base_url=http_server, timeout_s=5))
+        http_server.script = [(500, {})]
+        ranker = LlmRanker(endpoint_cfg(base_url=http_server.url, timeout_s=5))
         resp = ranker(make_request(k=4))
-        ChatHandler.behavior = "ok"
         assert resp.degraded is True
         assert resp.ordering == [1, 2, 3, 4]
 
@@ -506,9 +434,9 @@ class TestLlmRankerOverHttp:
         assert result.exit_code == 0, result.output
         config = tmp_path / "endpoint.json"
         config.write_text(json.dumps({"ranker": {"endpoint": {
-            "base_url": http_server, "model": "no-such-model", "timeout_s": 5, "retry_backoff_s": 0.0,
+            "base_url": http_server.url, "model": "no-such-model", "timeout_s": 5, "retry_backoff_s": 0.0,
         }}}))
-        ChatHandler.behavior = "not_found"
+        http_server.script = [(404, {})]
         result = runner.invoke(
             main,
             [
@@ -521,14 +449,12 @@ class TestLlmRankerOverHttp:
                 "--config", str(config),
             ],
         )
-        ChatHandler.behavior = "ok"
         assert result.exit_code == 2, result.output
         assert "HTTP 404" in result.output
         assert "'no-such-model'" in result.output
 
     def test_cli_rerank_from_worker_threads_loads_no_http_library(self, http_server, tmp_path):
         """Four worker threads of a fresh process call the endpoint at once, on the standard library alone."""
-        ChatHandler.behavior = "ok"
         data = tmp_path / "data"
         result = CliRunner().invoke(
             main, ["gen-synthetic", "--out-dir", str(data), "--n-jobs", "6", "--n-background", "60", "--seed", "5"]
@@ -536,7 +462,7 @@ class TestLlmRankerOverHttp:
         assert result.exit_code == 0, result.output
         config = tmp_path / "endpoint.json"
         config.write_text(json.dumps({"ranker": {"endpoint": {
-            "base_url": http_server, "model": "m", "timeout_s": 5, "retry_backoff_s": 0.0, "max_concurrency": 4,
+            "base_url": http_server.url, "model": "m", "timeout_s": 5, "retry_backoff_s": 0.0, "max_concurrency": 4,
         }}}))
         outputs = []
         for jobs in (4, 1):
@@ -565,91 +491,6 @@ def _hash_answer(user: str) -> str:
     if JUDGE_QUESTION in user:
         return ("<answer> yes </answer>", "<answer> no </answer>", "<answer> maybe </answer>")[digest[0] % 3]
     return format_answer(sorted(range(1, 5), key=lambda slot: (digest[slot], slot)))
-
-
-class _FaultHandler(BaseHTTPRequestHandler):
-    """Replies to the n-th request as ``server.script[n]`` says; the last entry repeats.
-
-    "ok" answers ``server.answer(user prompt)``; "hold" answers the same
-    after 50 ms; "late" after a delay of 0-15 ms drawn from ``server.delays``;
-    "short" sends a body 50 bytes short of its Content-Length and closes;
-    "close" and "hang" close without a reply, "hang" only once
-    ``server.release`` is set; ``(status, headers)`` sends that status.
-    ``server.peak`` is the most requests in progress at once, and
-    ``server.connections`` the connections accepted. A connection closes
-    after its ``server.close_after``-th reply, with no ``Connection: close``.
-    """
-
-    def setup(self):
-        super().setup()
-        self.replies = 0
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        server = self.server
-        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        with server.lock:
-            fault = server.script[min(server.hits, len(server.script) - 1)]
-            server.hits += 1
-            server.open += 1
-            server.peak = max(server.peak, server.open)
-            delay = server.delays.uniform(0, 0.015) if fault == "late" else 0
-        if fault == "hang":
-            server.release.wait(30)
-        elif fault in ("hold", "late"):
-            server.release.wait(0.05 if fault == "hold" else delay)
-        with server.lock:
-            server.open -= 1  # before the reply, which lets the client open its next connection
-        self.replies += 1
-        if fault in ("hang", "close", "short") or self.replies == server.close_after:
-            self.close_connection = True
-        if fault in ("hang", "close"):
-            return
-        status, headers = fault if isinstance(fault, tuple) else (200, {})
-        content = server.answer(request["messages"][1]["content"])
-        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode() if status == 200 else b"{}"
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body) + (50 if fault == "short" else 0)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-class _KeepAliveHandler(_FaultHandler):
-    """The same replies over HTTP/1.1, so a connection stays open between requests."""
-
-    protocol_version = "HTTP/1.1"
-
-
-def _serve(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    server.script, server.hits, server.open, server.peak, server.connections = ["ok"], 0, 0, 0, 0
-    server.close_after, server.delays = None, random.Random(0)
-    server.answer = lambda user: "<answer> [1] > [2] > [3] > [4] </answer>"
-    server.lock, server.release = threading.Lock(), threading.Event()
-    server.url = f"http://127.0.0.1:{server.server_port}"
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    yield server
-    server.release.set()
-    server.shutdown()
-    server.server_close()
-
-
-@pytest.fixture
-def fault_server():
-    """HTTP/1.0: the server closes every connection after its reply."""
-    yield from _serve(_FaultHandler)
-
-
-@pytest.fixture
-def keepalive_server():
-    yield from _serve(_KeepAliveHandler)
 
 
 def _closed_port_url():
@@ -961,6 +802,19 @@ class TestReplyReader:
         resp = LlmRanker(cfg)(make_request(k=4))
         assert (resp.degraded, resp.retry_count) == (True, 1)
         assert (len(scripted_server.requests), scripted_server.connections) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b"\xff\xfe\xff", b"[1]", b"{}", b'{"choices": []}', b'{"choices": [{}]}', b'{"choices": [{"message": null}]}'],
+    )
+    def test_200_body_without_a_content_is_a_retried_failure(self, body, scripted_server):
+        scripted_server.replies = [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)]
+        cfg = endpoint_cfg(base_url=scripted_server.url, timeout_s=5, max_retries=2)
+        with pytest.raises(TransportFailure, match="^malformed response body"):
+            ChatCompletionsClient(cfg).complete_once("s", "u", SamplingParams())
+        resp = LlmRanker(cfg)(make_request(k=4))
+        assert (resp.degraded, resp.retry_count) == (True, 1)
+        assert (len(scripted_server.requests), scripted_server.connections) == (3, 2)
 
     def test_lower_case_retry_after_is_honoured(self, scripted_server, monkeypatch):
         sleeps = []

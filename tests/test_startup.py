@@ -58,7 +58,7 @@ def test_endpoint_annotate_loads_neither(stage_runs, data, http_server):
     """The HTTP client is the standard library's, so an endpoint stage loads no third-party module."""
     assert stage_runs["build-windows"][0] == 0
     config = data / "endpoint.json"
-    config.write_text(json.dumps({"ranker": {"endpoint": {"base_url": http_server, "model": "m", "timeout_s": 5}}}))
+    config.write_text(json.dumps({"ranker": {"endpoint": {"base_url": http_server.url, "model": "m", "timeout_s": 5}}}))
     code, output, loaded = run_rankfit(
         ["annotate", "--windows", data / "windows.jsonl", "--corpus", data / "corpus.jsonl",
          "--labels", data / "labels.jsonl", "--out", data / "annotated-endpoint.jsonl",

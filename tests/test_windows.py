@@ -317,49 +317,33 @@ class TestApplyStrategy:
 
 
 class TestLlmJudge:
-    def _judge_with(self, replies):
-        """judge_windows over one window, against a client that gets ``replies`` in turn."""
+    @pytest.fixture
+    def judge_with(self, fake_endpoint):
+        """judge_windows over one window, against a client whose endpoint gives ``replies`` in turn."""
         from rankfit.ranker import ChatCompletionsClient, EndpointConfig
 
-        calls = {"n": 0}
+        def judge(replies):
+            fake_endpoint.replies = replies
+            client = ChatCompletionsClient(EndpointConfig(base_url="http://x", model="m", retry_backoff_s=0.0))
+            window = make_window(gold_slot=2)
+            return judge_windows([window], client, corpus_for_windows([window])), window
 
-        class FakeResponse:
-            def __init__(self, content):
-                self.status_code = 200
-                self._content = content
+        return judge
 
-            def json(self):
-                return {"choices": [{"message": {"content": self._content}}]}
-
-        def post(conn, path, json=None, headers=None):
-            reply = replies[min(calls["n"], len(replies) - 1)]
-            calls["n"] += 1
-            if reply is None:
-                raise ConnectionRefusedError("down")
-            return FakeResponse(reply)
-
-        client = ChatCompletionsClient(
-            EndpointConfig(base_url="http://x", model="m", retry_backoff_s=0.0),
-            post=post,
-        )
-        window = make_window(gold_slot=2)
-        corpus = corpus_for_windows([window])
-        return judge_windows([window], client, corpus), window
-
-    def test_yes_keeps(self):
-        result, window = self._judge_with(["<answer> yes </answer>"])
+    def test_yes_keeps(self, judge_with):
+        result, window = judge_with(["<answer> yes </answer>"])
         assert result == ([window], [])
 
-    def test_no_drops(self):
-        result, window = self._judge_with(["<answer> no </answer>"])
+    def test_no_drops(self, judge_with):
+        result, window = judge_with(["<answer> no </answer>"])
         assert result == ([], [])
 
-    def test_transport_failure_keeps_window(self):
-        result, window = self._judge_with([None, None, None])
+    def test_transport_failure_keeps_window(self, judge_with):
+        result, window = judge_with([ConnectionRefusedError("down")])
         assert result == ([window], [window.window_id])
 
-    def test_retries_through_malformed_reply(self):
-        result, window = self._judge_with(["gibberish", "<answer> no </answer>"])
+    def test_retries_through_malformed_reply(self, judge_with):
+        result, window = judge_with(["gibberish", "<answer> no </answer>"])
         assert result == ([], [])
 
     def test_windows_kept_after_judge_failure_are_counted(self):
