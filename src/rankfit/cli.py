@@ -230,13 +230,17 @@ def _make_ranker(name: str, p_flip: float, seed: int, config: dict, labels):
 
 
 def _windows(flag: Path | None, corpus=None) -> list[Window]:
-    """Windows from the --windows file; with a corpus, each must pass ``check_in_corpus``."""
+    """Windows from the --windows file; a repeated window_id raises, and with a corpus each must pass ``check_in_corpus``."""
     windows = []
+    first_line: dict[str, int] = {}
     for lineno, rec in iter_jsonl(_input(flag, "windows")):
         try:
             window = Window.from_record(rec)
         except (KeyError, ConfigError) as exc:
             raise MalformedRecord(f"bad window record: {exc}", line=lineno) from exc
+        if window.window_id in first_line:
+            raise MalformedRecord(f"window {window.window_id!r} repeats line {first_line[window.window_id]}", line=lineno)
+        first_line[window.window_id] = lineno
         check_in_corpus(corpus, window.job_id, window.candidate_ids, lineno, f"window {window.window_id}: ")
         windows.append(window)
     return windows
@@ -246,11 +250,6 @@ def _windows(flag: Path | None, corpus=None) -> list[Window]:
 @click.version_option(version=__version__)
 def main():
     """Listwise re-ranking toolkit for person-job fit."""
-
-
-# ---------------------------------------------------------------------------
-# gen-synthetic / build-windows / annotate / filter
-# ---------------------------------------------------------------------------
 
 
 @main.command("gen-synthetic")
@@ -350,11 +349,6 @@ def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
     _write_meta(out_path, effective, seed)
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# rerank / evaluate / ablate
-# ---------------------------------------------------------------------------
 
 
 @main.command("rerank")
@@ -490,11 +484,6 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
     return 0
 
 
-# ---------------------------------------------------------------------------
-# distill / simulate-grpo
-# ---------------------------------------------------------------------------
-
-
 @main.command("distill")
 @click.option("--teacher", "teacher_name", type=click.Choice(BUILTIN_RANKERS), default="endpoint", show_default=True)
 @click.option("--p-flip", type=float, default=DEFAULT_P_FLIP, show_default=True)
@@ -531,6 +520,8 @@ def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, grou
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
     corpus = load_corpus(_input(corpus_path, "corpus"))
     windows = _windows(windows_path, corpus)
+    named = {doc_id for w in windows for doc_id in (w.job_id, *w.candidate_ids)}
+    corpus = {doc_id: doc for doc_id, doc in corpus.items() if doc_id in named}  # the rest is freed before numpy loads
 
     if features == "match":
         feature_fn, names = match_features(corpus)

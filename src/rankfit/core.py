@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ KIND_RESUME = "resume"
 KIND_JOB = "job"
 _KINDS = (KIND_RESUME, KIND_JOB)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Document:
     """A resume or job post: an opaque id plus an ordered list of named text fields.
 
@@ -43,14 +45,14 @@ class Document:
     fields: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     job_id: str
     resume_id: str
     y: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedPool:
     """One job's retrieved top-N candidate ids in rank order, with its accepted ones.
 
@@ -159,12 +161,14 @@ def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
 
 
 def _parse_document(rec: dict, lineno: int) -> Document:
+    """The document a corpus record holds; its kind is a KIND_* constant and its field names are interned."""
     doc_id = rec.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise MalformedRecord("missing or empty 'id'", line=lineno)
     kind = rec.get("kind")
     if kind not in _KINDS:
         raise MalformedRecord(f"'kind' must be one of {_KINDS}, got {kind!r}", line=lineno)
+    kind = KIND_JOB if kind == KIND_JOB else KIND_RESUME
     raw_fields = rec.get("fields")
     if not isinstance(raw_fields, list):
         raise MalformedRecord("missing 'fields' list", line=lineno)
@@ -178,7 +182,7 @@ def _parse_document(rec: dict, lineno: int) -> Document:
             raise MalformedRecord(
                 "each field must be a [name, text] pair of strings", line=lineno
             )
-        fields.append((item[0], item[1]))
+        fields.append((sys.intern(item[0]), item[1]))
     return Document(id=doc_id, kind=kind, fields=tuple(fields))
 
 

@@ -57,7 +57,7 @@ def comparisons_per_pass(pool_size: int, window_size: int, stride: int) -> int:
     return 1 + math.ceil((pool_size - window_size) / stride)
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowCall:
     iteration: int
     start: int

@@ -91,7 +91,7 @@ class SamplingParams:
 ANNOTATION_SAMPLING = SamplingParams(temperature=0.6, top_p=0.95, top_k=20)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankRequest:
     """One listwise ranking call: a job plus slot-numbered candidate documents."""
 
@@ -119,7 +119,7 @@ class RankRequest:
         return len(self.candidates)
 
 
-@dataclass
+@dataclass(slots=True)
 class RankResponse:
     raw_text: str
     ordering: list[int]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import Document, RankedPool, parallel_map
 from .errors import ConfigError, MissingDifficulty, check_fields
@@ -77,7 +77,7 @@ class Partition:
     negatives: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Window:
     """One job plus four candidates, exactly one of them accepted.
 
@@ -352,33 +352,31 @@ def distill_sft(
     teacher: Ranker,
     corpus: Mapping[str, Document],
     max_workers: int = 1,
-) -> tuple[list[dict], DistillStats]:
+) -> tuple[Iterator[dict], DistillStats]:
     """Collect teacher generations that place the gold candidate first.
 
     Each kept record stores the full prompt and the teacher's verbatim output;
     generations whose parsed answer does not put the gold on top are dropped,
     and unusable (degraded) teacher outputs are dropped and counted. The
     teacher answers up to ``max_workers`` windows at a time; records and
-    counts follow input order.
+    counts follow input order. The stats are complete on return, while the
+    records are an iterator that renders each prompt only as it is consumed,
+    so a writer never holds more than one.
     """
     requests = [window_request(w, corpus, "teacher", SamplingParams()) for w in windows]
     responses = parallel_map(teacher, requests, max_workers)
-    records: list[dict] = []
+    kept: list[tuple[str, RankRequest, str]] = []
     stats = DistillStats()
     for window, req, resp in zip(windows, requests, responses):
         if resp.degraded:
             stats.dropped_malformed += 1
-            continue
-        if resp.ordering[0] != window.gold_slot():
+        elif resp.ordering[0] != window.gold_slot():
             stats.dropped_wrong_top += 1
-            continue
-        system, user = build_prompt(req)
-        records.append(
-            {
-                "window_id": window.window_id,
-                "prompt": f"{system}\n\n{user}",
-                "completion": resp.raw_text,
-            }
-        )
-        stats.kept += 1
+        else:
+            kept.append((window.window_id, req, resp.raw_text))
+    stats.kept = len(kept)
+    records = (
+        {"window_id": window_id, "prompt": "\n\n".join(build_prompt(req)), "completion": completion}
+        for window_id, req, completion in kept
+    )
     return records, stats

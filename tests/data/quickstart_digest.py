@@ -2,7 +2,7 @@
 
 Usage:
     python tests/data/quickstart_digest.py [--src DIR] [--against DIR]
-        [--n-jobs 50] [--n-background 400] [--seed 8]
+        [--n-jobs 50] [--n-background 400] [--seed 8] [--rss]
 
 Each command of the README quickstart runs as ``python -m rankfit.cli`` with
 ``DIR`` (default: this checkout's ``src``) first on PYTHONPATH. ``--seed``
@@ -12,8 +12,11 @@ replaces the quickstart's seed 8 wherever the README passes it, and
 included, sorted by path, then the sha256 of that list. ``--against
 other/src`` runs the quickstart on that tree too, prints only the paths whose
 digest differs between the two (or that one tree lacks), and exits 1 if any
-does: the check that a change keeps every artifact byte-identical. Uses the
-standard library only.
+does: the check that a change keeps every artifact byte-identical.
+``--rss`` then prints each command's peak RSS in MB, the ``ru_maxrss`` that
+``os.wait4`` reports for it, with one column per tree. This process stays
+small, so the RSS a forked command starts from does not set its peak. Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -51,26 +54,41 @@ def quickstart(n_jobs: int, n_background: int, seed: int) -> list[list[str]]:
 
 
 def digests(root: Path) -> list[tuple[str, str]]:
-    return [
-        (hashlib.sha256(p.read_bytes()).hexdigest(), p.relative_to(root).as_posix())
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    ]
+    """(sha256, path relative to ``root``) of every file under ``root``, sorted by path; files are read in chunks."""
+    listing = []
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            sha = hashlib.sha256()
+            with open(p, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    sha.update(chunk)
+            listing.append((sha.hexdigest(), p.relative_to(root).as_posix()))
+    return listing
 
 
-def run_quickstart(src: Path, n_jobs: int, n_background: int, seed: int) -> dict[str, str] | None:
-    """{path: sha256} of every file the quickstart wrote with ``src`` first on PYTHONPATH; None if a command failed."""
+def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, str, float]:
+    """Run one command to its end: (exit code, its merged stdout and stderr, its peak RSS in MB)."""
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    with proc.stdout:
+        output = proc.stdout.read().decode("utf-8", errors="replace")
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, output, usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+
+def run_quickstart(src: Path, n_jobs: int, n_background: int, seed: int) -> tuple[dict[str, str], dict[str, float]] | None:
+    """({path: sha256} of every file the quickstart wrote, {command: peak RSS in MB}) with ``src`` first on PYTHONPATH; None if a command failed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src.resolve()), env.get("PYTHONPATH")]))
+    rss: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="quickstart-") as tmp:
         root = Path(tmp)
         for argv in quickstart(n_jobs, n_background, seed):
-            run = subprocess.run([sys.executable, "-m", "rankfit.cli", *argv], cwd=root, env=env,
-                                 capture_output=True, text=True)
-            if run.returncode != 0:
-                sys.stderr.write(f"rankfit {argv[0]} ({src}) exited {run.returncode}:\n{run.stdout}{run.stderr}")
+            code, output, rss[argv[0]] = run_stage([sys.executable, "-m", "rankfit.cli", *argv], root, env)
+            if code != 0:
+                sys.stderr.write(f"rankfit {argv[0]} ({src}) exited {code}:\n{output}")
                 return None
-        return {path: digest for digest, path in digests(root)}
+        return {path: digest for digest, path in digests(root)}, rss
 
 
 def main() -> int:
@@ -81,22 +99,32 @@ def main() -> int:
     parser.add_argument("--n-jobs", type=int, default=50)
     parser.add_argument("--n-background", type=int, default=400)
     parser.add_argument("--seed", type=int, default=8)
+    parser.add_argument("--rss", action="store_true", help="also print each command's peak RSS in MB, per tree")
     args = parser.parse_args()
 
     trees = [args.src] if args.against is None else [args.src, args.against]
     runs = [run_quickstart(src, args.n_jobs, args.n_background, args.seed) for src in trees]
     if None in runs:
         return 1
+    files = [digest for digest, _ in runs]
+    code = 0
     if args.against is not None:
-        ours, theirs = runs
+        ours, theirs = files
         differ = sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p))
         sys.stdout.write("".join(f"{path}\n" for path in differ))
         sys.stderr.write(f"{len(differ)} of {len(ours.keys() | theirs.keys())} files differ\n")
-        return 1 if differ else 0
-    listing = "".join(f"{digest}  {path}\n" for path, digest in runs[0].items())
-    sys.stdout.write(listing)
-    sys.stdout.write(f"{hashlib.sha256(listing.encode('utf-8')).hexdigest()}  (all {len(runs[0])} files)\n")
-    return 0
+        code = 1 if differ else 0
+    else:
+        listing = "".join(f"{digest}  {path}\n" for path, digest in files[0].items())
+        sys.stdout.write(listing)
+        sys.stdout.write(f"{hashlib.sha256(listing.encode('utf-8')).hexdigest()}  (all {len(files[0])} files)\n")
+    if args.rss:
+        sys.stdout.write(f"# peak RSS in MB: {' | '.join(map(str, trees))}\n")
+        for stage in runs[0][1]:
+            mb = [rss[stage] for _, rss in runs]
+            change = f" {mb[1] - mb[0]:+8.2f}" if len(mb) == 2 else ""
+            sys.stdout.write(f"{stage:<14}" + "".join(f" {v:8.2f}" for v in mb) + f"{change}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import rankfit.cli
 from rankfit.cli import main
 from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, write_corpus, write_jsonl, write_labels
 from rankfit.engine import EngineConfig, evaluate_run
@@ -677,6 +678,26 @@ class TestSimulateGrpoCli:
         policy = json.loads((out_dir / "policy.json").read_text())
         assert policy["feature_names"] == ["noise_0", "noise_1"]
 
+    def test_documents_no_window_names_do_not_change_the_outputs(self, dataset, built_windows, runner, tmp_path, monkeypatch):
+        corpus = load_corpus(dataset / "corpus.jsonl")
+        padding = [make_job(f"pad-j{i}") for i in range(5)] + [make_resume(f"pad-r{i}") for i in range(50)]
+        padded = tmp_path / "padded.jsonl"
+        write_corpus([*padding[::2], *corpus.values(), *padding[1::2]], padded)
+        seen = []
+        real_match_features = rankfit.cli.match_features
+        monkeypatch.setattr(rankfit.cli, "match_features", lambda docs: seen.append(set(docs)) or real_match_features(docs))
+        outputs = []
+        for name, path in (("plain", dataset / "corpus.jsonl"), ("padded", padded)):
+            args = ["simulate-grpo", "--windows", str(built_windows), "--corpus", str(path),
+                    "--out-dir", str(tmp_path / name), "--epochs", "1", "--seed", "0"]
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+            outputs.append({f: (tmp_path / name / f).read_bytes() for f in ("curve.csv", "policy.json")})
+        assert outputs[0] == outputs[1]
+        windows = [json.loads(line) for line in built_windows.read_text().splitlines()]
+        named = {doc_id for w in windows for doc_id in (w["job_id"], *w["candidates"])}
+        assert seen == [named, named] and len(named) < len(corpus)
+
     def test_mixed_candidate_counts_exit_2(self, dataset, built_windows, runner, tmp_path):
         records = [json.loads(line) for line in built_windows.read_text().splitlines()]
         short = dict(records[0], window_id="short/0", presented_order=[1, 2, 3])
@@ -1158,6 +1179,20 @@ def test_malformed_window_record_exits_2_naming_line_and_field(field, value, str
     assert f"error: line 2: bad window record: window {records[1]['window_id']}: {message}" in result.output
     assert not (tmp_path / "f.jsonl").exists()
 
+
+@pytest.mark.parametrize("command", ["annotate", "filter", "distill", "simulate-grpo"])
+def test_repeated_window_id_exits_2_naming_both_lines(command, input_files, runner, tmp_path):
+    files, _ = input_files
+    lines = files["windows"].read_text().splitlines()[:3]
+    windows = tmp_path / "repeated.jsonl"
+    windows.write_text("".join(line + "\n" for line in [*lines, lines[0]]))
+    args = _command_args(command, {**files, "windows": windows}, tmp_path)
+    if command == "filter":  # a strategy that needs no endpoint
+        args[args.index("llm_filter")] = "all"
+    result = invoke(runner, args)
+    assert result.exit_code == 2, result.output
+    assert f"error: line 4: window {json.loads(lines[0])['window_id']!r} repeats line 1" in result.output
+    assert list(tmp_path.iterdir()) == [windows]
 
 @pytest.mark.parametrize("command,name", [("build-windows", "corpus"), ("rerank", "pools"), ("filter", "windows")])
 def test_input_that_is_not_utf8_exits_2_naming_the_line(command, name, input_files, runner, tmp_path):

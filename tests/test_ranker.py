@@ -862,7 +862,7 @@ class TestEndpointFanOut:
         for workers in (1, 4):
             server.peak = 0
             records, stats = distill_sft(windows, LlmRanker(self._cfg(server, workers)), corpus, max_workers=workers)
-            runs[workers] = (records, stats, server.peak)
+            runs[workers] = (list(records), stats, server.peak)
         assert (runs[1][2], runs[4][2]) == (1, 4)
         assert runs[4][:2] == runs[1][:2]
         records, stats, _ = runs[4]

@@ -3,14 +3,18 @@ from collections import Counter
 
 import pytest
 
+import rankfit.windows
 from rankfit.core import RankedPool
 from rankfit.errors import ConfigError, MalformedAnswer, MissingDifficulty
 from rankfit.ranker import (
     NoisyOracleRanker,
     OracleRanker,
     RankResponse,
+    SamplingParams,
+    build_prompt,
 )
 from rankfit.windows import (
+    DistillStats,
     Partition,
     PipelineConfig,
     Skip,
@@ -22,6 +26,7 @@ from rankfit.windows import (
     distill_sft,
     judge_windows,
     partition_pool,
+    window_request,
 )
 
 from conftest import corpus_for_windows, make_window
@@ -440,6 +445,12 @@ class TestLlmJudge:
         assert digest(user) == "2ca5074f360b98c78bb9f18f8299aac2b72bcc42dd7180c9fdcbd77c407dc687"
 
 
+def distill_list(*args, **kwargs):
+    """distill_sft with its records consumed into a list."""
+    records, stats = distill_sft(*args, **kwargs)
+    return list(records), stats
+
+
 class TestDistill:
     def _setup(self, n=20):
         windows = [make_window(window_id=f"j1/w{i}", gold_slot=(i % 4) + 1) for i in range(n)]
@@ -447,9 +458,29 @@ class TestDistill:
         accepted = {"j1": frozenset(w.gold_id for w in windows)}
         return windows, corpus, accepted
 
+    def test_stats_are_complete_before_the_records_are_consumed(self, monkeypatch):
+        windows, corpus, accepted = self._setup()
+        teacher = NoisyOracleRanker(accepted, p_flip=0.5, seed=3)
+        gold_first = [
+            teacher(window_request(w, corpus, "teacher", SamplingParams())).ordering[0] == w.gold_slot()
+            for w in windows
+        ]
+        assert 0 < sum(gold_first) < len(windows)
+        rendered = []
+        monkeypatch.setattr(rankfit.windows, "build_prompt", lambda req: rendered.append(req.request_id) or build_prompt(req))
+        records, stats = distill_sft(windows, teacher, corpus)
+        assert rendered == []
+        assert stats == DistillStats(kept=sum(gold_first), dropped_wrong_top=len(windows) - sum(gold_first))
+        first = next(records)
+        assert rendered == [f"{first['window_id']}:teacher"]
+        rest = list(records)
+        kept_ids = [w.window_id for w, hit in zip(windows, gold_first) if hit]
+        assert [first["window_id"], *(r["window_id"] for r in rest)] == kept_ids
+        assert rendered == [f"{window_id}:teacher" for window_id in kept_ids]
+
     def test_oracle_teacher_keeps_everything(self):
         windows, corpus, accepted = self._setup()
-        records, stats = distill_sft(windows, OracleRanker(accepted), corpus)
+        records, stats = distill_list(windows, OracleRanker(accepted), corpus)
         assert stats.kept == len(windows)
         assert [r["window_id"] for r in records] == [w.window_id for w in windows]
         for record in records:
@@ -458,7 +489,7 @@ class TestDistill:
 
     def test_wrong_top_dropped(self):
         windows, corpus, accepted = self._setup()
-        records, stats = distill_sft(
+        records, stats = distill_list(
             windows, NoisyOracleRanker(accepted, p_flip=1.0, seed=9), corpus
         )
         assert records == []
@@ -473,7 +504,7 @@ class TestDistill:
                     raw_text="", ordering=[1, 2, 3, 4], repaired=True, degraded=True
                 )
 
-        records, stats = distill_sft(windows, BrokenTeacher(), corpus)
+        records, stats = distill_list(windows, BrokenTeacher(), corpus)
         assert records == []
         assert stats.dropped_malformed == 3
 
@@ -490,6 +521,6 @@ class TestDistill:
                     ordering=[gold_slot, *others],
                 )
 
-        records, stats = distill_sft(windows, VerboseTeacher(), corpus)
+        records, stats = distill_list(windows, VerboseTeacher(), corpus)
         assert stats.kept == 1
         assert records[0]["completion"].startswith("<think>")
