@@ -22,13 +22,14 @@ from . import __version__
 from .core import (
     accepted_by_job,
     check_in_corpus,
+    corpus_line,
     iter_job_rows,
     iter_jsonl,
     load_corpus,
     load_labels,
     load_pools,
+    named_ids,
     open_atomic,
-    write_corpus,
     write_jsonl,
     write_labels,
     write_pools,
@@ -229,6 +230,11 @@ def _make_ranker(name: str, p_flip: float, seed: int, config: dict, labels):
     return LlmRanker(_endpoint_from_config(config)), settings
 
 
+def _corpus(flag: Path | None, named: Path | None) -> dict:
+    """The --corpus documents that the windows or pools file ``named`` names; every line is still checked."""
+    return load_corpus(_input(flag, "corpus"), named_ids(named) if named else ())
+
+
 def _windows(flag: Path | None, corpus=None) -> list[Window]:
     """Windows from the --windows file; a repeated window_id raises, and with a corpus each must pass ``check_in_corpus``."""
     windows = []
@@ -260,15 +266,14 @@ def main():
 def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     """Generate a synthetic corpus, labels, and retrieval pools."""
     cfg = _settings(SyntheticConfig, config, "synthetic", n_jobs=n_jobs, n_background=n_background, seed=seed)
-    documents, labels, pools = generate(cfg)
-
-    write_corpus(documents.values(), out_dir / "corpus.jsonl")
+    with open_atomic(out_dir / "corpus.jsonl") as fh:
+        labels, pools = generate(cfg, lambda doc: fh.write(corpus_line(doc)))
     write_labels(labels, out_dir / "labels.jsonl")
     write_pools(pools, out_dir / "pools.jsonl")
     for name in ("corpus.jsonl", "labels.jsonl", "pools.jsonl"):
         _write_meta(out_dir / name, {"synthetic": asdict(cfg)}, seed)
     click.echo(
-        f"wrote {len(documents)} documents, {len(labels)} labels, {len(pools)} pools to {out_dir}"
+        f"wrote {cfg.n_background + cfg.n_jobs + len(labels)} documents, {len(labels)} labels, {len(pools)} pools to {out_dir}"
     )
     return 0
 
@@ -277,7 +282,7 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
 @_command("corpus", "labels", "pools", "out")
 def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, seed):
     """Build 4-candidate training windows from labeled pools."""
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    corpus = _corpus(corpus_path, pools_path)
     pools = load_pools(_input(pools_path, "pools"), load_labels(_input(labels_path, "labels")), corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
@@ -309,7 +314,7 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
 @_command("windows", "corpus", "labels", "out")
 def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, p_flip, jobs, config, seed):
     """Annotate windows with the empirical gold-at-top rate of a ranker."""
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    corpus = _corpus(corpus_path, windows_path)
     windows = _windows(windows_path, corpus)
     ranker, ranker_cfg = _make_ranker(
         ranker_name, p_flip, seed, config, lambda: load_labels(_input(labels_path, "labels"))
@@ -331,7 +336,7 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 @_command("windows", "corpus", "out")
 def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
     """Apply a data-filtering strategy to annotated windows; llm_filter also reads --corpus."""
-    corpus = load_corpus(_input(corpus_path, "corpus")) if strategy == "llm_filter" else None
+    corpus = _corpus(corpus_path, windows_path) if strategy == "llm_filter" else None
     windows = _windows(windows_path, corpus)
     cfg = _settings(PipelineConfig, config, "pipeline", rng_seed=seed)
 
@@ -363,7 +368,7 @@ def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
 @_command("pools", "corpus", "labels", "out")
 def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_flip, k, s, t, n, jobs, trace, config, seed):
     """Re-rank every pool with the sliding-window engine."""
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    corpus = _corpus(corpus_path, pools_path)
     labels = load_labels(_input(labels_path, "labels"))
     pools = load_pools(_input(pools_path, "pools"), labels, corpus)
     cfg = _settings(EngineConfig, config, "engine", window_size=k, stride=s, iterations=t, pool_size=n)
@@ -436,15 +441,14 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
 
 def _parse_grid(grid: str) -> list[tuple[int, int]]:
     points = []
-    for part in grid.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in grid.split(","))):
         try:
-            k_str, s_str = part.split(":")
-            points.append((int(k_str), int(s_str)))
+            k, s = map(int, part.split(":"))
         except ValueError:
             raise ConfigError(f"bad grid point {part!r}; expected k:s") from None
+        if (k, s) in points:
+            raise ConfigError(f"repeated grid point {k}:{s}")
+        points.append((k, s))
     if not points:
         raise ConfigError("empty ablation grid")
     return points
@@ -460,13 +464,14 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
     """Sweep (window size, stride) settings and tabulate metrics per setting."""
     engine = _settings(EngineConfig, config, "engine", iterations=t)
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    points = _parse_grid(grid)
+    corpus = _corpus(corpus_path, pools_path)
     labels = load_labels(_input(labels_path, "labels"))
     pools = load_pools(_input(pools_path, "pools"), labels, corpus)
     pools = [p for p in pools if len(p.candidates) == engine.pool_size]
     ranker, ranker_cfg = _make_ranker(ranker_name, p_flip, seed, config, lambda: labels)
 
-    rows, rejected = ablate(pools, ranker, engine, _parse_grid(grid), corpus, max_workers=_workers(jobs, ranker))
+    rows, rejected = ablate(pools, ranker, engine, points, corpus, max_workers=_workers(jobs, ranker))
     for rej in rejected:
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
@@ -490,7 +495,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 @_command("windows", "corpus", "labels", "out")
 def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, p_flip, config, seed):
     """Collect teacher generations whose answer ranks the gold candidate first."""
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    corpus = _corpus(corpus_path, windows_path)
     windows = _windows(windows_path, corpus)
     teacher, teacher_cfg = _make_ranker(
         teacher_name, p_flip, seed, config, lambda: load_labels(_input(labels_path, "labels"))
@@ -518,15 +523,10 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @_command("windows", "corpus")
 def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
-    corpus = load_corpus(_input(corpus_path, "corpus"))
+    corpus = _corpus(corpus_path, windows_path)
     windows = _windows(windows_path, corpus)
-    named = {doc_id for w in windows for doc_id in (w.job_id, *w.candidate_ids)}
-    corpus = {doc_id: doc for doc_id, doc in corpus.items() if doc_id in named}  # the rest is freed before numpy loads
 
-    if features == "match":
-        feature_fn, names = match_features(corpus)
-    else:
-        feature_fn, names = noise_features(seed)
+    feature_fn, names = match_features(corpus) if features == "match" else noise_features(seed)
     policy = make_policy(feature_fn, names)
     settings = {"group_size": group_size, "beta": beta, "learning_rate": learning_rate,
                 "epochs": epochs, "batch_size": batch_size, "reward": reward}

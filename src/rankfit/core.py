@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import (
     DuplicateId,
@@ -148,11 +148,14 @@ def iter_job_rows(path: str | Path, row: str) -> Iterator[tuple[int, str, dict]]
         yield lineno, job_id, rec
 
 
+def jsonl_line(rec: Mapping) -> str:
+    """``rec`` as one line of a jsonl file, newline included."""
+    return json.dumps(rec, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     with open_atomic(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(map(jsonl_line, records))
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +189,56 @@ def _parse_document(rec: dict, lineno: int) -> Document:
     return Document(id=doc_id, kind=kind, fields=tuple(fields))
 
 
-def load_corpus(path: str | Path) -> dict[str, Document]:
-    """Load documents keyed by id; a bad record or a repeated id (DuplicateId) raises MalformedRecord naming its line."""
+def load_corpus(path: str | Path, keep: Container[str] | None = None) -> dict[str, Document]:
+    """Load documents keyed by id, only those whose id is in ``keep`` when it is given.
+
+    Every line is parsed and checked, kept or not: a bad record or a
+    repeated id (DuplicateId) raises MalformedRecord naming its line.
+    """
     docs: dict[str, Document] = {}
+    ids: set[str] = set()
     for lineno, rec in iter_jsonl(path):
         doc = _parse_document(rec, lineno)
-        if doc.id in docs:
+        if doc.id in ids:
             raise DuplicateId(f"duplicate document id {doc.id!r}", line=lineno)
-        docs[doc.id] = doc
+        ids.add(doc.id)
+        if keep is None or doc.id in keep:
+            docs[doc.id] = doc
     return docs
 
 
+def named_ids(path: str | Path) -> set[str]:
+    """Every string ``job_id`` and ``candidates`` entry of a windows or pools file.
+
+    A line that holds no such record names nothing, nor does a file that
+    cannot be read: the strict parse of that file reports them.
+    """
+    ids: set[str] = set()
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return ids
+    with fh:
+        for raw in fh:
+            try:
+                rec = json.loads(raw)
+            except (ValueError, RecursionError):
+                continue
+            if isinstance(rec, dict):
+                candidates = rec.get("candidates")
+                named = (rec.get("job_id"), *(candidates if isinstance(candidates, list) else ()))
+                ids.update(doc_id for doc_id in named if isinstance(doc_id, str))
+    return ids
+
+
+def corpus_line(doc: Document) -> str:
+    """The corpus file line, newline included, that holds ``doc``."""
+    return jsonl_line({"id": doc.id, "kind": doc.kind, "fields": [[n, t] for n, t in doc.fields]})
+
+
 def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    write_jsonl(
-        (
-            {"id": d.id, "kind": d.kind, "fields": [[n, t] for n, t in d.fields]}
-            for d in docs
-        ),
-        path,
-    )
+    with open_atomic(path) as fh:
+        fh.writelines(map(corpus_line, docs))
 
 
 def check_in_corpus(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import Document, KIND_JOB, KIND_RESUME, Label, RankedPool, join_labels
 from .errors import ConfigError, check_fields
@@ -163,19 +164,24 @@ def _gauss_many(rng: random.Random, n: int, sigma: float) -> np.ndarray:
     return 0.0 + z * sigma
 
 
-def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], list[RankedPool]]:
-    """Generate (documents, labels, pools), deterministic in cfg.seed.
+def generate(cfg: SyntheticConfig, emit: Callable[[Document], object]) -> tuple[list[Label], list[RankedPool]]:
+    """Generate a corpus, deterministic in cfg.seed: each document goes to ``emit``, and (labels, pools) are returned.
+
+    ``emit`` gets every document as it is made and none is kept, so a
+    caller that writes each one holds no corpus. The order is the corpus
+    order: the background resumes, then each job followed by the resumes
+    tailored to it, all before that job's pool is scored.
 
     Each job's pool ranks every resume generated so far by match score plus
     Gaussian retrieval noise (one draw per resume, in generation order), best
     first with ties broken by resume id, truncated to pool_size (shorter for
     short-pool archetype jobs). Labels cover only the tailored
-    accepted/rejected resumes; everything else is unlabeled, mirroring sparse
-    real-world interaction data.
+    accepted/rejected resumes, one label each, so the corpus holds
+    n_background + n_jobs + len(labels) documents; everything else is
+    unlabeled, mirroring sparse real-world interaction data.
     """
     import numpy as np
     rng = child_rng(cfg.seed, "synthetic")
-    documents: dict[str, Document] = {}
     skill_col = {skill: i for i, skill in enumerate(SKILLS)}
     resume_ids: list[str] = []
     # one row per resume in resume_ids, one column per SKILLS entry
@@ -183,14 +189,13 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
     new_rows: list[list[int]] = []
 
     def add_resume(rid: str, skills: list[str]) -> None:
-        doc = _resume_doc(
+        emit(_resume_doc(
             rid,
             skills,
             years=rng.randint(2, 15),
             title=rng.choice(TITLES),
             degree=rng.choice(DEGREES),
-        )
-        documents[rid] = doc
+        ))
         resume_ids.append(rid)
         new_rows.append([skill_col[s] for s in skills])
 
@@ -215,15 +220,14 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
     for j, archetype in enumerate(archetypes):
         jid = f"j{j:04d}"
         required = rng.sample(SKILLS, 5)
-        job = _job_doc(
+        emit(_job_doc(
             jid,
             title=rng.choice(TITLES),
             required=required,
             degree=rng.choice(DEGREES),
             years=rng.randint(2, 10),
             location=rng.choice(LOCATIONS),
-        )
-        documents[jid] = job
+        ))
 
         def new_resume(coverage: int) -> str:
             nonlocal extra_counter
@@ -269,7 +273,7 @@ def generate(cfg: SyntheticConfig) -> tuple[dict[str, Document], list[Label], li
         ranked = sorted(zip((-scores[top]).tolist(), [resume_ids[i] for i in top]))
         pools.append((jid, tuple(rid for _, rid in ranked[:size])))
 
-    return documents, labels, join_labels(pools, labels)
+    return labels, join_labels(pools, labels)
 
 
 def make_eval_pools(

@@ -12,6 +12,7 @@ import pytest
 
 import rankfit.ranker
 from rankfit.core import Document, KIND_JOB, KIND_RESUME, RankedPool
+from rankfit.synthetic import generate
 from rankfit.windows import Window
 
 
@@ -29,6 +30,17 @@ def make_job(jid, skills="python, sql, kafka"):
         kind=KIND_JOB,
         fields=(("title", f"Role {jid}"), ("required skills", skills)),
     )
+
+
+def generate_corpus(cfg):
+    """``synthetic.generate`` with the documents it hands on collected: ({id: Document} in corpus order, labels, pools)."""
+    docs = {}
+
+    def keep(doc):
+        docs[doc.id] = doc
+
+    labels, pools = generate(cfg, keep)
+    return docs, labels, pools
 
 
 def make_pool(job_id="j1", n=20, accepted_ranks=(4,)):

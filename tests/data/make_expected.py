@@ -15,9 +15,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from rankfit.synthetic import SyntheticConfig, generate
+from rankfit.synthetic import SyntheticConfig
 from rankfit.windows import PipelineConfig, build_all_windows
 
+from conftest import generate_corpus
 from oracles import recount_skips
 
 FIXTURE_SEED = 2026
@@ -25,7 +26,7 @@ FIXTURE_SEED = 2026
 
 def main():
     cfg = SyntheticConfig(n_jobs=50, n_background=400, seed=FIXTURE_SEED)
-    docs, labels, pools = generate(cfg)
+    _, labels, pools = generate_corpus(cfg)
 
     pool_records = [{"job_id": p.job_id, "candidates": list(p.candidates)} for p in pools]
     label_records = [

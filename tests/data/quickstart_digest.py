@@ -2,12 +2,15 @@
 
 Usage:
     python tests/data/quickstart_digest.py [--src DIR] [--against DIR]
-        [--n-jobs 50] [--n-background 400] [--seed 8] [--rss]
+        [--n-jobs 50] [--n-background 400] [--seed 8] [--grpo-windows N] [--rss]
 
 Each command of the README quickstart runs as ``python -m rankfit.cli`` with
 ``DIR`` (default: this checkout's ``src``) first on PYTHONPATH. ``--seed``
 replaces the quickstart's seed 8 wherever the README passes it, and
-``--n-jobs``/``--n-background`` set the corpus scale. The output is one
+``--n-jobs``/``--n-background`` set the corpus scale. ``--grpo-windows N``
+trains ``simulate-grpo`` on the first N kept windows, copied to
+``run/train.jsonl``, as the benchmark's ``pipeline`` workload does with 300;
+without it, the simulator trains on every kept window. The output is one
 ``<sha256>  <path>`` line per file the commands wrote, meta sidecars
 included, sorted by path, then the sha256 of that list. ``--against
 other/src`` runs the quickstart on that tree too, prints only the paths whose
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -32,8 +36,9 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def quickstart(n_jobs: int, n_background: int, seed: int) -> list[list[str]]:
-    """The README quickstart's commands, in order."""
+def quickstart(n_jobs: int, n_background: int, seed: int, grpo_windows: int | None = None) -> list[list[str]]:
+    """The README quickstart's commands, in order; with ``grpo_windows``, simulate-grpo reads run/train.jsonl."""
+    train = "run/filtered.jsonl" if grpo_windows is None else "run/train.jsonl"
     data = ["--corpus", "data/corpus.jsonl", "--labels", "data/labels.jsonl"]
     s = ["--seed", str(seed)]
     return [
@@ -48,7 +53,7 @@ def quickstart(n_jobs: int, n_background: int, seed: int) -> list[list[str]]:
         ["ablate", "--pools", "data/pools.jsonl", *data, "--out", "run/ablation.json",
          "--ranker", "noisy", "--p-flip", "0.3", "-t", "1"],
         ["distill", "--windows", "run/filtered.jsonl", *data, "--out", "run/sft.jsonl", "--teacher", "oracle"],
-        ["simulate-grpo", "--windows", "run/filtered.jsonl", "--corpus", "data/corpus.jsonl",
+        ["simulate-grpo", "--windows", train, "--corpus", "data/corpus.jsonl",
          "--out-dir", "run/grpo", "--reward", "rearank", "--features", "match", "--seed", "0"],
     ]
 
@@ -76,14 +81,19 @@ def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, str, float]:
     return proc.returncode, output, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
-def run_quickstart(src: Path, n_jobs: int, n_background: int, seed: int) -> tuple[dict[str, str], dict[str, float]] | None:
+def run_quickstart(
+    src: Path, n_jobs: int, n_background: int, seed: int, grpo_windows: int | None = None
+) -> tuple[dict[str, str], dict[str, float]] | None:
     """({path: sha256} of every file the quickstart wrote, {command: peak RSS in MB}) with ``src`` first on PYTHONPATH; None if a command failed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src.resolve()), env.get("PYTHONPATH")]))
     rss: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="quickstart-") as tmp:
         root = Path(tmp)
-        for argv in quickstart(n_jobs, n_background, seed):
+        for argv in quickstart(n_jobs, n_background, seed, grpo_windows):
+            if argv[0] == "simulate-grpo" and grpo_windows is not None:
+                with open(root / "run/filtered.jsonl", "rb") as kept, open(root / "run/train.jsonl", "wb") as train:
+                    train.writelines(itertools.islice(kept, grpo_windows))
             code, output, rss[argv[0]] = run_stage([sys.executable, "-m", "rankfit.cli", *argv], root, env)
             if code != 0:
                 sys.stderr.write(f"rankfit {argv[0]} ({src}) exited {code}:\n{output}")
@@ -99,11 +109,13 @@ def main() -> int:
     parser.add_argument("--n-jobs", type=int, default=50)
     parser.add_argument("--n-background", type=int, default=400)
     parser.add_argument("--seed", type=int, default=8)
+    parser.add_argument("--grpo-windows", type=int, default=None, metavar="N",
+                        help="train simulate-grpo on the first N kept windows only")
     parser.add_argument("--rss", action="store_true", help="also print each command's peak RSS in MB, per tree")
     args = parser.parse_args()
 
     trees = [args.src] if args.against is None else [args.src, args.against]
-    runs = [run_quickstart(src, args.n_jobs, args.n_background, args.seed) for src in trees]
+    runs = [run_quickstart(src, args.n_jobs, args.n_background, args.seed, args.grpo_windows) for src in trees]
     if None in runs:
         return 1
     files = [digest for digest, _ in runs]

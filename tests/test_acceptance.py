@@ -36,7 +36,7 @@ from rankfit.grpo import (
 )
 from rankfit.metrics import RewardGroup, group_advantages, ndcg, rearank_reward, recall_at_k
 from rankfit.ranker import NoisyOracleRanker, OracleRanker, format_answer, parse_answer
-from rankfit.synthetic import SyntheticConfig, generate, make_eval_pools
+from rankfit.synthetic import SyntheticConfig, make_eval_pools
 from rankfit.windows import (
     PipelineConfig,
     annotate_difficulty,
@@ -44,7 +44,7 @@ from rankfit.windows import (
     build_all_windows,
 )
 
-from conftest import corpus_for, make_pool, make_window
+from conftest import corpus_for, generate_corpus, make_pool, make_window
 from oracles import (
     central_difference_grad,
     naive_ndcg,
@@ -176,7 +176,7 @@ def test_criterion_5_pipeline_fidelity():
     expected = json.loads((DATA_DIR / "expected_pipeline.json").read_text())
     seed = expected["fixture_seed"]
 
-    docs, labels, pools = generate(SyntheticConfig(n_jobs=50, n_background=400, seed=seed))
+    docs, labels, pools = generate_corpus(SyntheticConfig(n_jobs=50, n_background=400, seed=seed))
     assert len(pools) == expected["jobs_total"]
 
     # dual route: independent recount of the skip rules over raw records
@@ -315,7 +315,7 @@ def test_criterion_7_grpo_simulator_numerics():
         assert abs(total - 1.0) < 1e-9
 
     # the shipped synthetic task: informative features train, noise stays flat
-    docs, labels, pools = generate(SyntheticConfig(n_jobs=120, n_background=500, seed=11))
+    docs, labels, pools = generate_corpus(SyntheticConfig(n_jobs=120, n_background=500, seed=11))
     windows = build_all_windows(pools, PipelineConfig(rng_seed=11))[0][:500]
     assert len(windows) == 500
     train_cfg = GrpoConfig(learning_rate=4.0, batch_size=16, rng_seed=0)

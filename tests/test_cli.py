@@ -56,6 +56,11 @@ class TestGenSynthetic:
             assert meta["version"]
             assert meta["config_hash"]
 
+    def test_reports_the_documents_it_wrote(self, runner, tmp_path):
+        result = invoke(runner, ["gen-synthetic", "--out-dir", str(tmp_path), "--n-jobs", "7", "--n-background", "40"])
+        assert result.exit_code == 0, result.output
+        assert f"wrote {len((tmp_path / 'corpus.jsonl').read_text().splitlines())} documents, " in result.output
+
 
 class TestBuildWindows:
     def test_counts_and_skip_report(self, dataset, runner, tmp_path):
@@ -678,26 +683,6 @@ class TestSimulateGrpoCli:
         policy = json.loads((out_dir / "policy.json").read_text())
         assert policy["feature_names"] == ["noise_0", "noise_1"]
 
-    def test_documents_no_window_names_do_not_change_the_outputs(self, dataset, built_windows, runner, tmp_path, monkeypatch):
-        corpus = load_corpus(dataset / "corpus.jsonl")
-        padding = [make_job(f"pad-j{i}") for i in range(5)] + [make_resume(f"pad-r{i}") for i in range(50)]
-        padded = tmp_path / "padded.jsonl"
-        write_corpus([*padding[::2], *corpus.values(), *padding[1::2]], padded)
-        seen = []
-        real_match_features = rankfit.cli.match_features
-        monkeypatch.setattr(rankfit.cli, "match_features", lambda docs: seen.append(set(docs)) or real_match_features(docs))
-        outputs = []
-        for name, path in (("plain", dataset / "corpus.jsonl"), ("padded", padded)):
-            args = ["simulate-grpo", "--windows", str(built_windows), "--corpus", str(path),
-                    "--out-dir", str(tmp_path / name), "--epochs", "1", "--seed", "0"]
-            result = invoke(runner, args)
-            assert result.exit_code == 0, result.output
-            outputs.append({f: (tmp_path / name / f).read_bytes() for f in ("curve.csv", "policy.json")})
-        assert outputs[0] == outputs[1]
-        windows = [json.loads(line) for line in built_windows.read_text().splitlines()]
-        named = {doc_id for w in windows for doc_id in (w["job_id"], *w["candidates"])}
-        assert seen == [named, named] and len(named) < len(corpus)
-
     def test_mixed_candidate_counts_exit_2(self, dataset, built_windows, runner, tmp_path):
         records = [json.loads(line) for line in built_windows.read_text().splitlines()]
         short = dict(records[0], window_id="short/0", presented_order=[1, 2, 3])
@@ -1194,6 +1179,90 @@ def test_repeated_window_id_exits_2_naming_both_lines(command, input_files, runn
     assert f"error: line 4: window {json.loads(lines[0])['window_id']!r} repeats line 1" in result.output
     assert list(tmp_path.iterdir()) == [windows]
 
+# each command that reads --corpus beside a windows or pools file: (that file, which names the
+# documents the command keeps; the function it passes the corpus to; the corpus's position there)
+_CORPUS_KEEPERS = {
+    "build-windows": ("pools", "load_pools", 2),
+    "annotate": ("windows", "annotate_difficulty", 2),
+    "filter": ("windows", "judge_windows", 2),
+    "rerank": ("pools", "rerank_pools", 3),
+    "ablate": ("pools", "ablate", 4),
+    "distill": ("windows", "distill_sft", 2),
+    "simulate-grpo": ("windows", "match_features", 0),
+}
+
+
+def _named(path):
+    """The ids that the job_id and candidates of a windows or pools file name."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return {doc_id for rec in records for doc_id in (rec["job_id"], *rec["candidates"])}
+
+
+@pytest.mark.parametrize("command", _CORPUS_KEEPERS)
+def test_documents_no_input_names_do_not_change_the_outputs(command, input_files, runner, tmp_path, monkeypatch, fake_endpoint):
+    """A corpus padded with unrelated documents gives byte-identical outputs, and the stage gets only the named documents."""
+    files, _ = input_files
+    named_by, stage, position = _CORPUS_KEEPERS[command]
+    corpus = load_corpus(files["corpus"])
+    padding = [make_job(f"pad-j{i}") for i in range(5)] + [make_resume(f"pad-r{i}") for i in range(50)]
+    padded = tmp_path / "padded.jsonl"
+    write_corpus([*padding[::2], *corpus.values(), *padding[1::2]], padded)
+    seen = []
+    real_stage = getattr(rankfit.cli, stage)
+    monkeypatch.setattr(rankfit.cli, stage, lambda *a, **k: seen.append(set(a[position])) or real_stage(*a, **k))
+    fake_endpoint.replies = ["<answer> yes </answer>"]  # the llm_filter judge's verdict
+    config = {"ranker": {"endpoint": {"base_url": "http://127.0.0.1:9", "model": "m"}}} if command == "filter" else None
+    outputs = []
+    for name, path in (("plain", files["corpus"]), ("padded", padded)):
+        out = tmp_path / name
+        out.mkdir()
+        result = invoke(runner, _command_args(command, {**files, "corpus": path}, out, config))
+        assert result.exit_code == 0, result.output
+        outputs.append({f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()})
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+    named = _named(files[named_by])
+    assert seen == [named, named] and len(named) < len(corpus)
+
+
+# (a corpus fault, a fault of the file that names documents) -> the message: the corpus is read first
+_BOTH_BAD = ["corpus-bad-json", "duplicate-of-unnamed", "named-document-missing", "no-corpus-file", "no-named-file"]
+
+
+@pytest.mark.parametrize("case", _BOTH_BAD)
+@pytest.mark.parametrize("command", _CORPUS_KEEPERS)
+def test_when_both_inputs_are_bad_the_corpus_fault_is_reported_as_before(command, case, input_files, runner, tmp_path):
+    files, nowhere = input_files
+    named_by = _CORPUS_KEEPERS[command][0]
+    corpus_lines = files["corpus"].read_text().splitlines(keepends=True)
+    named_lines = files[named_by].read_text().splitlines(keepends=True)
+    corpus, named = tmp_path / "corpus.jsonl", tmp_path / "named.jsonl"
+    named.write_text("".join(["[1, 2]\n", *named_lines]))
+    if case in ("corpus-bad-json", "no-named-file"):
+        corpus.write_text("".join([*corpus_lines[:2], "{not json\n", *corpus_lines[2:]]))
+        expected = "error: line 3: invalid JSON"
+    elif case == "duplicate-of-unnamed":
+        unnamed = [line for line in corpus_lines if json.loads(line)["id"] not in _named(files[named_by])]
+        corpus.write_text("".join([*corpus_lines, unnamed[0]]))
+        expected = f"error: line {len(corpus_lines) + 1}: duplicate document id {json.loads(unnamed[0])['id']!r}"
+    elif case == "named-document-missing":
+        first = json.loads(named_lines[0])
+        gone = first["candidates"][0]
+        corpus.write_text("".join(line for line in corpus_lines if json.loads(line)["id"] != gone))
+        named.write_text("".join([named_lines[0], "[1, 2]\n", *named_lines[1:]]))
+        window = f"window {first['window_id']}: " if named_by == "windows" else ""
+        expected = f"error: line 1: {window}document {gone!r} missing from corpus"
+    else:
+        corpus = nowhere
+        expected = f"error: corpus path {nowhere} does not exist"
+    if case == "no-named-file":
+        named = nowhere
+    out = tmp_path / "out"
+    result = invoke(runner, _command_args(command, {**files, "corpus": corpus, named_by: named}, out))
+    assert result.exit_code == 2, result.output
+    assert expected in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,name", [("build-windows", "corpus"), ("rerank", "pools"), ("filter", "windows")])
 def test_input_that_is_not_utf8_exits_2_naming_the_line(command, name, input_files, runner, tmp_path):
     files, _ = input_files
@@ -1348,7 +1417,7 @@ def test_evaluate_metric_k_below_one_names_the_option(input_files, runner, tmp_p
 @pytest.mark.parametrize(
     "grid,message",
     [("4:2:1", "bad grid point '4:2:1'; expected k:s"), ("a:2", "bad grid point 'a:2'; expected k:s"),
-     (",", "empty ablation grid")],
+     (",", "empty ablation grid"), ("4:2,4:2", "repeated grid point 4:2"), ("3:1, 4:2 ,04:2", "repeated grid point 4:2")],
 )
 def test_ablate_rejects_a_bad_grid(grid, message, input_files, runner, tmp_path):
     files, _ = input_files
@@ -1356,6 +1425,15 @@ def test_ablate_rejects_a_bad_grid(grid, message, input_files, runner, tmp_path)
     assert result.exit_code == 2, result.output
     assert f"error: {message}" in result.output
     assert not (tmp_path / "ab.json").exists()
+
+
+def test_ablate_reports_a_bad_grid_before_reading_any_input(input_files, runner, tmp_path, monkeypatch):
+    files, nowhere = input_files
+    monkeypatch.setattr(rankfit.cli, "load_corpus", lambda *a, **k: pytest.fail("the corpus was read"))
+    args = [*_command_args("ablate", {**files, "labels": nowhere, "pools": nowhere}, tmp_path), "--grid", "4:2,4:2"]
+    result = invoke(runner, args)
+    assert result.exit_code == 2, result.output
+    assert "error: repeated grid point 4:2" in result.output
 
 
 def test_ablate_reports_a_grid_point_the_engine_refuses_and_runs_the_rest(input_files, runner, tmp_path):

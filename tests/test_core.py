@@ -15,6 +15,7 @@ from rankfit.core import (
     load_corpus,
     load_labels,
     load_pools,
+    named_ids,
     open_atomic,
     parallel_map,
     render_document,
@@ -27,9 +28,9 @@ from rankfit.core import (
 from rankfit.engine import WindowCall
 from rankfit.errors import DuplicateId, EmptyPool, MalformedRecord, UnknownDocument
 from rankfit.ranker import RankRequest, RankResponse
-from rankfit.synthetic import SyntheticConfig, generate
+from rankfit.synthetic import SyntheticConfig
 
-from conftest import corpus_for_windows, make_resume, make_window
+from conftest import corpus_for_windows, generate_corpus, make_resume, make_window
 
 
 def _write_lines(path, lines):
@@ -96,6 +97,53 @@ class TestLoadCorpus:
         assert loaded == {d.id: d for d in docs}
 
 
+class TestLoadCorpusKeep:
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        documents, _, _ = generate_corpus(SyntheticConfig(n_jobs=6, n_background=40, seed=4))
+        write_corpus(documents.values(), path)
+        return path, documents
+
+    @pytest.mark.parametrize("picks", [0, 1, 7, 1000])
+    def test_is_the_full_load_restricted_to_keep(self, corpus, picks):
+        path, documents = corpus
+        keep = set(random.Random(picks).sample(sorted(documents), min(picks, len(documents)))) | {"not-in-corpus"}
+        full = load_corpus(path)
+        kept = load_corpus(path, keep)
+        assert list(kept.items()) == [(doc_id, doc) for doc_id, doc in full.items() if doc_id in keep]
+
+    def test_a_bad_record_outside_keep_raises_naming_its_line(self, corpus, tmp_path):
+        path, documents = corpus
+        lines = path.read_text().splitlines()
+        _write_lines(path, [*lines[:5], json.dumps({"id": "x", "kind": "resume"}), *lines[5:]])
+        with pytest.raises(MalformedRecord, match=r"^line 6: missing 'fields' list$"):
+            load_corpus(path, {json.loads(lines[0])["id"]})
+
+    def test_a_repeated_id_outside_keep_raises_naming_its_line(self, corpus):
+        path, documents = corpus
+        lines = path.read_text().splitlines()
+        _write_lines(path, [*lines, lines[3]])
+        with pytest.raises(DuplicateId, match=rf"^line {len(lines) + 1}: duplicate document id"):
+            load_corpus(path, {json.loads(lines[0])["id"]})
+
+
+class TestNamedIds:
+    def test_reads_the_ids_a_windows_or_a_pools_file_names(self, tmp_path):
+        windows = [make_window("j1/w0"), make_window("j2/w0", job_id="j2")]
+        write_jsonl((w.to_record() for w in windows), tmp_path / "windows.jsonl")
+        write_pools([RankedPool("j9", ("r1", "r2"))], tmp_path / "pools.jsonl")
+        assert named_ids(tmp_path / "windows.jsonl") == {"j1", "j2", *windows[0].candidate_ids, *windows[1].candidate_ids}
+        assert named_ids(tmp_path / "pools.jsonl") == {"j9", "r1", "r2"}
+
+    def test_a_line_or_file_it_cannot_read_names_nothing(self, tmp_path):
+        path = tmp_path / "named.jsonl"
+        lines = [b"{not json", b"[1, 2]", b'{"job_id": "\xff"}', b"", b'{"job_id": 5, "candidates": "r1"}',
+                 b'{"candidates": [1, ["r2"], "r3"]}', b'{"job_id": "j1", "candidates": null}', b"[" * 100_000]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert named_ids(path) == {"r3", "j1"}
+        assert named_ids(tmp_path / "nowhere.jsonl") == set() == named_ids(tmp_path)
+
 
 class TestCompactRecords:
     """Loaded records hold no per-instance dict, and shared strings are stored once."""
@@ -134,7 +182,7 @@ class TestCompactRecords:
     def test_a_loaded_document_retains_at_most_1000_bytes(self, tmp_path):
         # The 50/400 seed-77 corpus retained 1,284 bytes per document with a
         # per-instance dict and a string per field name, about 900 without.
-        documents, _, _ = generate(SyntheticConfig(n_jobs=50, n_background=400, seed=77))
+        documents, _, _ = generate_corpus(SyntheticConfig(n_jobs=50, n_background=400, seed=77))
         path = tmp_path / "corpus.jsonl"
         write_corpus(documents.values(), path)
         del documents

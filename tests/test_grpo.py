@@ -24,11 +24,11 @@ from rankfit.grpo import (
 )
 from rankfit.metrics import RewardGroup, group_advantages
 from rankfit.seeding import child_rng
-from rankfit.synthetic import SyntheticConfig, generate
+from rankfit.synthetic import SyntheticConfig
 from rankfit.windows import PipelineConfig, build_all_windows
 
 import oracles
-from conftest import make_window
+from conftest import generate_corpus, make_window
 from oracles import central_difference_grad
 
 
@@ -373,7 +373,7 @@ class TestGrpoStep:
 
 class TestTraining:
     def _windows(self, n_jobs=40, seed=11):
-        docs, labels, pools = generate(
+        docs, labels, pools = generate_corpus(
             SyntheticConfig(n_jobs=n_jobs, n_background=200, seed=seed)
         )
         windows, _ = build_all_windows(pools, PipelineConfig(rng_seed=seed))
@@ -560,7 +560,7 @@ class TestLoopReference:
         assert evaluate_mean_reward(policy, windows, cfg, "tag") == total / count
 
     def test_train_matches_reference_loop(self):
-        docs, _, pools = generate(SyntheticConfig(n_jobs=12, n_background=120, seed=5))
+        docs, _, pools = generate_corpus(SyntheticConfig(n_jobs=12, n_background=120, seed=5))
         windows = build_all_windows(pools, PipelineConfig(rng_seed=5))[0][:40]
         assert len(windows) == 40
         fn, names = match_features(docs)

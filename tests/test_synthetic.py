@@ -1,9 +1,11 @@
+import inspect
 import random
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
+import rankfit.synthetic
 from rankfit.core import KIND_JOB, KIND_RESUME
 from rankfit.errors import ConfigError
 from rankfit.synthetic import (
@@ -19,30 +21,45 @@ from rankfit.synthetic import (
     skill_set,
 )
 
+from conftest import generate_corpus
 from oracles import synthetic_by_loops
 
 
 class TestGenerate:
     def test_shapes_and_kinds(self):
         cfg = SyntheticConfig(n_jobs=10, n_background=60, seed=1)
-        docs, labels, pools = generate(cfg)
+        docs, labels, pools = generate_corpus(cfg)
         kinds = Counter(d.kind for d in docs.values())
         assert kinds[KIND_JOB] == 10
         assert kinds[KIND_RESUME] >= 60
         assert len(pools) == 10
         assert all(len(p.candidates) <= 20 for p in pools)
 
+    def test_emit_gets_the_first_background_resume_before_any_pool_is_scored(self, monkeypatch):
+        cfg = SyntheticConfig(n_jobs=3, n_background=30, seed=6)
+        events = []
+        real_gauss_many = rankfit.synthetic._gauss_many
+        monkeypatch.setattr(rankfit.synthetic, "_gauss_many", lambda *a: events.append("score") or real_gauss_many(*a))
+        labels, pools = generate(cfg, lambda doc: events.append(doc.id))
+        assert events[:31] == [f"r{i:05d}" for i in range(30)] + ["j0000"]
+        assert events.count("score") == len(pools) == 3
+        assert len(events) - 3 == 30 + 3 + len(labels)  # every document once: the tailored resumes each have a label
+
+    def test_generation_runs_inside_the_call(self):
+        # a generator function would return before generating, outside the span a tracer puts around the call
+        assert not inspect.isgeneratorfunction(generate)
+
     def test_deterministic(self):
         cfg = SyntheticConfig(n_jobs=8, n_background=50, seed=5)
-        a = generate(cfg)
-        b = generate(cfg)
+        a = generate_corpus(cfg)
+        b = generate_corpus(cfg)
         assert [d.fields for d in a[0].values()] == [d.fields for d in b[0].values()]
         assert a[1] == b[1]
         assert [p.candidates for p in a[2]] == [p.candidates for p in b[2]]
 
     def test_labels_resolve_and_pools_join(self):
         cfg = SyntheticConfig(n_jobs=12, n_background=80, seed=2)
-        docs, labels, pools = generate(cfg)
+        docs, labels, pools = generate_corpus(cfg)
         for label in labels:
             assert label.job_id in docs
             assert label.resume_id in docs
@@ -51,7 +68,7 @@ class TestGenerate:
 
     def test_archetype_mix_produces_skip_cases(self):
         cfg = SyntheticConfig(n_jobs=50, n_background=300, seed=3)
-        docs, labels, pools = generate(cfg)
+        docs, labels, pools = generate_corpus(cfg)
         sizes = [len(p.candidates) for p in pools]
         accepted_counts = [len(p.accepted_ids) for p in pools]
         assert any(s < 20 for s in sizes)
@@ -61,7 +78,7 @@ class TestGenerate:
 
     def test_accepted_resumes_match_their_job_best(self):
         cfg = SyntheticConfig(n_jobs=10, n_background=100, seed=4)
-        docs, labels, pools = generate(cfg)
+        docs, labels, pools = generate_corpus(cfg)
         scores = []
         for label in labels:
             if label.y == 1:
@@ -96,11 +113,12 @@ class TestLoopReference:
     )
     def test_generate_matches_pairwise_loop(self, overrides):
         cfg = SyntheticConfig(**overrides)
-        docs, labels, pools = generate(cfg)
+        docs, labels, pools = generate_corpus(cfg)
         ref_docs, ref_labels, ref_pools = synthetic_by_loops(
             (SKILLS, TITLES, DEGREES, LOCATIONS), **asdict(cfg)
         )
         assert {d.id: d.fields for d in docs.values()} == ref_docs
+        assert list(docs) == list(ref_docs)
         assert [(l.job_id, l.resume_id, l.y) for l in labels] == ref_labels
         assert [(p.job_id, p.candidates) for p in pools] == ref_pools
         accepted = {(job, rid) for job, rid, y in ref_labels if y}
@@ -123,14 +141,14 @@ class TestLoopReference:
 class TestSkillHelpers:
     def test_skill_set_parses_fields(self):
         cfg = SyntheticConfig(n_jobs=2, n_background=30, seed=0)
-        docs, _, _ = generate(cfg)
+        docs, _, _ = generate_corpus(cfg)
         doc = next(d for d in docs.values() if d.kind == KIND_RESUME)
         assert skill_set(doc)
         assert all(s == s.strip() for s in skill_set(doc))
 
     def test_match_score_range(self):
         cfg = SyntheticConfig(n_jobs=3, n_background=30, seed=0)
-        docs, _, _ = generate(cfg)
+        docs, _, _ = generate_corpus(cfg)
         job = next(d for d in docs.values() if d.kind == KIND_JOB)
         for doc in docs.values():
             if doc.kind == KIND_RESUME:
