@@ -30,6 +30,7 @@ from .core import (
     load_pools,
     named_ids,
     open_atomic,
+    parse_json,
     write_jsonl,
     write_labels,
     write_pools,
@@ -126,7 +127,7 @@ def _load_object(path: str | Path | None, what: str = "config file") -> dict:
     if not Path(path).exists():
         raise ConfigError(f"{what} {path} does not exist")
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = parse_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -182,7 +183,7 @@ def _workers(jobs: int | None, caller) -> int:
 
 
 _jobs_option = click.option(
-    "--jobs", type=click.IntRange(min=1), default=None,
+    "--jobs", type=click.IntRange(1, 1024), default=None,  # no stage uses more: max_concurrency is at most 1024
     help="Worker threads [default: the endpoint's max_concurrency, else 1].",
 )
 
@@ -462,7 +463,7 @@ def _parse_grid(grid: str) -> list[tuple[int, int]]:
 @_jobs_option
 @_command("pools", "corpus", "labels", "out")
 def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_name, p_flip, jobs, config, seed):
-    """Sweep (window size, stride) settings and tabulate metrics per setting."""
+    """Sweep (window size, stride) settings and write the metrics of each setting."""
     engine = _settings(EngineConfig, config, "engine", iterations=t)
     points = _parse_grid(grid)
     corpus = _corpus(corpus_path, pools_path)
@@ -477,15 +478,7 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
 
     _write_json(out_path, {"rows": rows, "rejected": rejected})
     _write_meta(out_path, {"grid": grid, "iterations": engine.iterations, "pool_size": engine.pool_size, "ranker": ranker_cfg}, seed)
-
-    click.echo(f"{'setting':<14} {'nDCG@10':>8} {'Recall@10':>10} {'comp/iter':>10}")
-    for row in rows:
-        setting = row["setting"]
-        label = f"k={setting['k']},s={setting['s']}"
-        click.echo(
-            f"{label:<14} {row['ndcg10']:>8.4f} {row['recall10']:>10.4f} "
-            f"{row['comparisons_per_iter']:>10}"
-        )
+    click.echo(f"ablated {len(rows)} of {len(points)} grid points over {len(pools)} pools; rows in {out_path}")
     return 0
 
 

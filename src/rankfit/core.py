@@ -94,6 +94,14 @@ def accepted_by_job(labels: Iterable[Label]) -> dict[str, frozenset[str]]:
 # ---------------------------------------------------------------------------
 
 
+def parse_json(text: str | bytes):
+    """``json.loads(text)``, but text nested too deeply for it raises json.JSONDecodeError, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs; blank lines are skipped."""
     with open(path, "rb") as fh:
@@ -105,7 +113,7 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(rec, dict):
@@ -208,26 +216,20 @@ def load_corpus(path: str | Path, keep: Container[str] | None = None) -> dict[st
 
 
 def named_ids(path: str | Path) -> set[str]:
-    """Every string ``job_id`` and ``candidates`` entry of a windows or pools file.
+    """Every string ``job_id`` and ``candidates`` entry of a windows or pools file, up to its first bad line.
 
-    A line that holds no such record names nothing, nor does a file that
-    cannot be read: the strict parse of that file reports them.
+    The read stops at a line ``iter_jsonl`` rejects, and a file that cannot
+    be read names nothing: the strict parse of that file, which follows,
+    reports them before it checks any record after them.
     """
     ids: set[str] = set()
     try:
-        fh = open(path, "rb")
-    except OSError:
-        return ids
-    with fh:
-        for raw in fh:
-            try:
-                rec = json.loads(raw)
-            except (ValueError, RecursionError):
-                continue
-            if isinstance(rec, dict):
-                candidates = rec.get("candidates")
-                named = (rec.get("job_id"), *(candidates if isinstance(candidates, list) else ()))
-                ids.update(doc_id for doc_id in named if isinstance(doc_id, str))
+        for _, rec in iter_jsonl(path):
+            candidates = rec.get("candidates")
+            named = (rec.get("job_id"), *(candidates if isinstance(candidates, list) else ()))
+            ids.update(doc_id for doc_id in named if isinstance(doc_id, str))
+    except (MalformedRecord, OSError):
+        pass
     return ids
 
 

@@ -27,13 +27,12 @@ import os
 import queue
 import random
 import re
-import threading
 import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .core import Document, render_document
+from .core import Document, parse_json, render_document
 from .errors import ConfigError, MalformedAnswer, check_fields
 from .seeding import child_rng
 
@@ -410,7 +409,7 @@ def _read_reply(rfile) -> tuple[int, dict[str, str], bytes, bool]:
 class _Connection:
     """One socket to ``url``'s host, opened by ``open``; ``sock`` is None while it is closed."""
 
-    def __init__(self, url, timeout_s: float, ssl_context=None):
+    def __init__(self, url, timeout_s: float, ssl_context):
         self.url, self.timeout_s, self.ssl_context = url, timeout_s, ssl_context
         self.sock = self.rfile = None
 
@@ -462,8 +461,7 @@ def _close_idle(pool: queue.Queue) -> None:
     """Close each connection resting in ``pool``; a closed one reconnects on its next use."""
     with pool.mutex:
         for conn in pool.queue:
-            if conn is not None:
-                conn.close()
+            conn.close()
 
 
 class ChatCompletionsClient:
@@ -481,13 +479,19 @@ class ChatCompletionsClient:
         self.cfg = cfg
         self._url = urlsplit(cfg.base_url)
         self._path = self._url.path.rstrip("/") + "/v1/chat/completions"
-        # taking a slot is the concurrency gate; a slot holds a connection, or None until its first call
+        ssl_context = None
+        if self._url.scheme == "https":  # one context for every connection: making one loads the CA store
+            import ssl
+
+            try:
+                ssl_context = ssl.create_default_context()
+            except OSError as exc:  # every call would fail the same way
+                raise ConfigError(f"cannot set up TLS for {cfg.base_url}: {exc}") from exc
+        # taking a slot is the concurrency gate; each connection opens its socket on first use
         self._pool = queue.LifoQueue()
         for _ in range(cfg.max_concurrency):
-            self._pool.put(None)
+            self._pool.put(_Connection(self._url, cfg.timeout_s, ssl_context))
         weakref.finalize(self, _close_idle, self._pool)  # when the client is collected, or at exit
-        self._ssl_lock = threading.Lock()
-        self._ssl_context = None
         self._jitter = random.Random()  # its own stream: seeded draws elsewhere never move
         self._api_key = None
         if cfg.api_key_env:
@@ -501,22 +505,10 @@ class ChatCompletionsClient:
                     f"API key environment variable {cfg.api_key_env!r} holds a control or non-ASCII character"
                 )
 
-    def _connect(self) -> _Connection:
-        """A connection to the endpoint's host; it opens its socket on first use."""
-        if self._url.scheme == "http":
-            return _Connection(self._url, self.cfg.timeout_s)
-        with self._ssl_lock:  # one context per client: each one loads the CA store
-            if self._ssl_context is None:
-                import ssl
-
-                self._ssl_context = ssl.create_default_context()
-        return _Connection(self._url, self.cfg.timeout_s, self._ssl_context)
-
     def _exchange(self, payload: dict, headers: dict) -> tuple[int, dict[str, str], bytes]:
         """One POST on a pooled connection; a kept-alive one that the server dropped is reopened once."""
         conn = self._pool.get()
         try:
-            conn = conn or self._connect()
             if conn.sock is not None:  # kept alive: the server may have closed it while it sat idle
                 try:
                     return _requests_post(conn, self._path, payload, headers)
@@ -524,8 +516,7 @@ class ChatCompletionsClient:
                     conn.close()
             return _requests_post(conn, self._path, payload, headers)
         except BaseException:
-            if conn:
-                conn.close()  # the slot goes back with no socket
+            conn.close()  # the slot goes back with no socket
             raise
         finally:
             self._pool.put(conn)
@@ -562,7 +553,7 @@ class ChatCompletionsClient:
                 f"HTTP {status}", int(wait) if wait.strip().isdecimal() else None
             )
         try:
-            content = json.loads(body)["choices"][0]["message"]["content"]
+            content = parse_json(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportFailure(f"malformed response body: {exc}") from exc
         if not isinstance(content, str):

@@ -936,6 +936,15 @@ def test_jobs_below_one_exits_2(command, jobs, input_files, runner, tmp_path):
     assert not list(tmp_path.glob("*.json*"))  # no output written
 
 
+@pytest.mark.parametrize("command", ["annotate", "rerank", "ablate"])
+def test_jobs_above_1024_exits_2(command, input_files, runner, tmp_path):
+    files, _ = input_files
+    result = invoke(runner, [*_command_args(command, files, tmp_path), "--jobs", "1025"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--jobs': 1025 is not in the range 1<=x<=1024" in result.output
+    assert not list(tmp_path.glob("*.json*"))  # no output written
+
+
 @pytest.mark.parametrize("p_flip", ["nan", "1.5"])
 @pytest.mark.parametrize("ranker", ["oracle", "identity"])
 @pytest.mark.parametrize("command", ["annotate", "rerank", "ablate", "distill"])
@@ -1358,6 +1367,25 @@ def test_endpoint_rerank_of_a_bad_pool_sends_no_request(how, http_server, input_
     assert http_server.hits == hits
 
 
+def test_endpoint_rerank_exits_2_when_tls_cannot_be_set_up(http_server, input_files, runner, tmp_path, monkeypatch):
+    import ssl
+
+    def no_ca_store(*args, **kwargs):
+        raise ssl.SSLError("no CA store")
+
+    monkeypatch.setattr(ssl, "create_default_context", no_ca_store)
+    files, _ = input_files
+    endpoint = {"base_url": http_server.url.replace("http:", "https:"), "model": "m", "timeout_s": 5}
+    out = tmp_path / "out"
+    out.mkdir()
+    hits = http_server.hits
+    result = invoke(runner, [*_command_args("rerank", files, out, {"ranker": {"endpoint": endpoint}}), "--ranker", "endpoint"])
+    assert result.exit_code == 2, result.output
+    assert f"error: cannot set up TLS for {endpoint['base_url']}" in result.output
+    assert [p.name for p in out.iterdir()] == ["config.json"]  # no artifact written
+    assert http_server.hits == hits
+
+
 @pytest.mark.parametrize("job_id", [["j0000"], 5])
 def test_evaluate_rejects_a_reranked_row_without_a_string_job_id(job_id, input_files, runner, tmp_path):
     files, _ = input_files
@@ -1459,6 +1487,39 @@ def test_input_line_that_is_not_an_object_exits_2_naming_the_line(command, name,
     result = invoke(runner, [*args, f"--{name}", str(bad)])
     assert result.exit_code == 2, result.output
     assert "error: line 3: record is not an object" in result.output
+
+
+# valid JSON nested 5,000 deep: json.loads raises RecursionError at about 1,000
+_DEEP = "[" * 5_000 + "]" * 5_000
+
+
+@pytest.mark.parametrize(
+    "command,name", [(cmd, name) for cmd, (_, names) in _COMMAND_INPUTS.items() for name in names]
+)
+def test_input_line_nested_too_deeply_exits_2_naming_the_line(command, name, input_files, runner, tmp_path):
+    files, _ = input_files
+    lines = files[name].read_text().splitlines(keepends=True)
+    bad = tmp_path / f"bad-{name}.jsonl"
+    bad.write_text("".join([*lines[:2], f'{{"job_id": {_DEEP}}}\n', *lines[2:]]))
+    result = invoke(runner, [*_command_args(command, files, tmp_path / "out"), f"--{name}", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "error: line 3: invalid JSON: nested too deeply" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["config file", "reranked sidecar"])
+def test_a_config_or_sidecar_nested_too_deeply_exits_2(which, input_files, runner, tmp_path):
+    files, _ = input_files
+    reranked = tmp_path / "reranked.jsonl"
+    reranked.write_bytes(files["reranked"].read_bytes())
+    bad = tmp_path / ("config.json" if which == "config file" else "reranked.jsonl.meta.json")
+    bad.write_text(_DEEP)
+    args = ["evaluate", "--pools", str(files["pools"]), "--labels", str(files["labels"]),
+            "--reranked", str(reranked), "--out", str(tmp_path / "report.json")]
+    result = invoke(runner, [*args, *(["--config", str(bad)] if which == "config file" else [])])
+    assert result.exit_code == 2, result.output
+    assert f"error: {which} {bad} is not valid JSON: nested too deeply" in result.output
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -137,11 +137,13 @@ class TestNamedIds:
         assert named_ids(tmp_path / "pools.jsonl") == {"j9", "r1", "r2"}
 
     def test_a_line_or_file_it_cannot_read_names_nothing(self, tmp_path):
+        # the read stops at the first line iter_jsonl rejects: the strict parse raises there
         path = tmp_path / "named.jsonl"
-        lines = [b"{not json", b"[1, 2]", b'{"job_id": "\xff"}', b"", b'{"job_id": 5, "candidates": "r1"}',
-                 b'{"candidates": [1, ["r2"], "r3"]}', b'{"job_id": "j1", "candidates": null}', b"[" * 100_000]
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        assert named_ids(path) == {"r3", "j1"}
+        for bad in (b"{not json", b"[1, 2]", b'{"job_id": "\xff"}', b"[" * 100_000):
+            lines = [b"", b'{"job_id": 5, "candidates": "r1"}', b'{"candidates": [1, ["r2"], "r3"]}',
+                     b'{"job_id": "j1", "candidates": null}', bad, b'{"job_id": "j2", "candidates": ["r4"]}']
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            assert named_ids(path) == {"r3", "j1"}, bad[:20]
         assert named_ids(tmp_path / "nowhere.jsonl") == set() == named_ids(tmp_path)
 
 

@@ -291,6 +291,14 @@ class TestLlmRanker:
         assert len(fake_endpoint.requests) == 3
         assert resp.degraded is True and resp.ordering == [1, 2, 3, 4]
 
+    def test_a_body_nested_too_deeply_is_retried_then_degraded(self, fake_endpoint):
+        fake_endpoint.replies = [b'{"choices": ' + b"[" * 5_000 + b"]" * 5_000 + b"}"]  # json.loads recurses ~1,000 deep
+        resp = LlmRanker(endpoint_cfg(max_retries=3))(make_request(k=4))
+        assert len(fake_endpoint.requests) == 3
+        assert resp.degraded is True and resp.ordering == [1, 2, 3, 4]
+        with pytest.raises(TransportFailure, match="malformed response body: nested too deeply"):
+            ChatCompletionsClient(endpoint_cfg()).complete_once("s", "u", SamplingParams())
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_failure_is_fatal(self, status, fake_endpoint):
         fake_endpoint.replies = [status]
@@ -584,15 +592,8 @@ class TestConnectionPool:
         client.complete_once("s", "u", SamplingParams())
         assert (keepalive_server.hits, keepalive_server.connections) == (3, 2)
 
-    def test_a_connection_that_cannot_be_built_frees_its_slot(self, keepalive_server, monkeypatch):
-        import ssl
-
-        def no_ca_store(*args, **kwargs):
-            raise ssl.SSLError("no CA store")
-
-        monkeypatch.setattr(ssl, "create_default_context", no_ca_store)
-        url = keepalive_server.url.replace("http:", "https:")
-        client = ChatCompletionsClient(endpoint_cfg(base_url=url, timeout_s=5, max_concurrency=1))
+    def test_a_connection_that_cannot_be_built_frees_its_slot(self):
+        client = ChatCompletionsClient(endpoint_cfg(base_url=_closed_port_url(), timeout_s=5, max_concurrency=1))
         errors = []
         # with its one slot lost, the second call would wait for good
         calls = threading.Thread(target=lambda: errors.extend(
@@ -601,7 +602,21 @@ class TestConnectionPool:
         calls.start()
         calls.join(5)
         assert not calls.is_alive()
-        assert len(errors) == 2 and all(isinstance(e.value.__cause__, ssl.SSLError) for e in errors)
+        assert len(errors) == 2 and all(isinstance(e.value.__cause__, ConnectionRefusedError) for e in errors)
+
+    def test_a_tls_context_it_cannot_make_is_fatal_before_any_call(self, keepalive_server, monkeypatch):
+        import ssl
+
+        def no_ca_store(*args, **kwargs):
+            raise ssl.SSLError("no CA store")
+
+        monkeypatch.setattr(ssl, "create_default_context", no_ca_store)
+        cfg = endpoint_cfg(base_url=keepalive_server.url.replace("http:", "https:"), timeout_s=5)
+        for make in (ChatCompletionsClient, LlmRanker):
+            with pytest.raises(ConfigError, match="cannot set up TLS for https://127.0.0.1:") as failure:
+                make(cfg)
+            assert isinstance(failure.value.__cause__, ssl.SSLError)
+        assert (keepalive_server.hits, keepalive_server.connections) == (0, 0)
 
     def test_https_builds_one_ssl_context_across_retries(self, keepalive_server, monkeypatch):
         import ssl
