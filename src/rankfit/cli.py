@@ -9,7 +9,6 @@ ranker calls fell back to identity), 2 configuration or data error.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import sys
 from collections import Counter
@@ -56,7 +55,7 @@ from .ranker import (
     NoisyOracleRanker,
     OracleRanker,
 )
-from .seeding import child_rng
+from .seeding import child_rng, sha256
 from .synthetic import SyntheticConfig, generate
 from .windows import (
     STRATEGIES,
@@ -196,7 +195,7 @@ def _write_json(path: Path, obj: dict, indent: int | None = 2) -> None:
 
 def _provenance(effective: dict, seed: int) -> dict:
     canonical = json.dumps(effective, sort_keys=True)
-    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    config_hash = sha256(canonical.encode("utf-8")).hexdigest()[:16]
     return {"config_hash": config_hash, "seed": seed, "version": __version__}
 
 

@@ -93,7 +93,7 @@ def rng():
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs the CLI as the console script does, then reports which of the heavy
-# third-party modules the process loaded
+# third-party modules, and which of the two ways into OpenSSL, the process loaded
 _PROBE = """
 import json, sys
 from rankfit.cli import main
@@ -101,12 +101,15 @@ try:
     main(sys.argv[1:], prog_name="rankfit")
 except SystemExit as exc:
     code = exc.code or 0
-print(json.dumps({"exit": code, "loaded": [m for m in ("numpy", "requests") if m in sys.modules]}))
+print(json.dumps({"exit": code, "loaded": [m for m in ("numpy", "requests", "_hashlib", "ssl") if m in sys.modules]}))
 """
 
 
 def run_rankfit(args, timeout=60):
-    """``rankfit ARGS`` in a fresh interpreter: (exit code, output, ["numpy", "requests"] subset loaded).
+    """``rankfit ARGS`` in a fresh interpreter: (exit code, output, ["numpy", "requests", "_hashlib", "ssl"] subset loaded).
+
+    ``_hashlib`` (what ``import hashlib`` loads) and ``ssl`` each load
+    OpenSSL's libcrypto.
 
     A run that outlives ``timeout`` seconds raises subprocess.TimeoutExpired.
     """

@@ -17,21 +17,46 @@ other/src`` runs the quickstart on that tree too, prints only the paths whose
 digest differs between the two (or that one tree lacks), and exits 1 if any
 does: the check that a change keeps every artifact byte-identical.
 ``--rss`` then prints each command's peak RSS in MB, the ``ru_maxrss`` that
-``os.wait4`` reports for it, with one column per tree. This process stays
-small, so the RSS a forked command starts from does not set its peak. Uses
-the standard library only.
+``os.wait4`` reports for it, with one column per tree. A forked process's
+peak starts from the RSS of the process that forked it, so the commands are
+started by a small spawner process, which this script starts before it loads
+anything else. The spawner's own peak is printed under the table as
+``# floor``: a command that reads near it may be reading the spawner's
+peak, not its own. Uses the standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import itertools
-import os
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
+
+# The spawner reads one JSON request per line, {"cmd", "cwd", "env"}, runs it
+# and replies with one line, {"code", "output", "maxrss_kb"}. At the end of
+# its input it writes its own peak, {"floor_kb"}, and exits.
+_SPAWNER = r"""
+import json, os, resource, subprocess, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    proc = subprocess.Popen(req["cmd"], cwd=req["cwd"], env=req["env"],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    with proc.stdout:
+        output = proc.stdout.read().decode("utf-8", errors="replace")
+    _, status, usage = os.wait4(proc.pid, 0)
+    reply = {"code": os.waitstatus_to_exitcode(status), "output": output, "maxrss_kb": usage.ru_maxrss}
+    print(json.dumps(reply), flush=True)
+print(json.dumps({"floor_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}), flush=True)
+"""
+
+if __name__ == "__main__":  # while this process is still small
+    SPAWNER = subprocess.Popen([sys.executable, "-c", _SPAWNER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 DEFAULT_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -71,18 +96,28 @@ def digests(root: Path) -> list[tuple[str, str]]:
     return listing
 
 
-def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, str, float]:
-    """Run one command to its end: (exit code, its merged stdout and stderr, its peak RSS in MB)."""
-    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    with proc.stdout:
-        output = proc.stdout.read().decode("utf-8", errors="replace")
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, output, usage.ru_maxrss / 1024.0  # Linux reports KiB
+def run_stage(spawner: subprocess.Popen, argv: list[str], cwd: Path, env: dict) -> tuple[int, str, float]:
+    """Run one command to its end through the spawner: (exit code, its merged stdout and stderr, its peak RSS in MB)."""
+    spawner.stdin.write(json.dumps({"cmd": argv, "cwd": str(cwd), "env": env}) + "\n")
+    spawner.stdin.flush()
+    reply = spawner.stdout.readline()
+    if not reply:
+        raise RuntimeError("the spawner exited")
+    reply = json.loads(reply)
+    return reply["code"], reply["output"], reply["maxrss_kb"] / 1024.0  # Linux reports KiB
+
+
+def floor_mb(spawner: subprocess.Popen) -> float:
+    """Close the spawner: its own peak RSS in MB, from which each command it started began."""
+    spawner.stdin.close()
+    floor = json.loads(spawner.stdout.readline())["floor_kb"] / 1024.0
+    spawner.stdout.close()
+    spawner.wait()
+    return floor
 
 
 def run_quickstart(
-    src: Path, n_jobs: int, n_background: int, seed: int, grpo_windows: int | None = None
+    spawner: subprocess.Popen, src: Path, n_jobs: int, n_background: int, seed: int, grpo_windows: int | None = None
 ) -> tuple[dict[str, str], dict[str, float]] | None:
     """({path: sha256} of every file the quickstart wrote, {command: peak RSS in MB}) with ``src`` first on PYTHONPATH; None if a command failed."""
     env = dict(os.environ)
@@ -94,14 +129,14 @@ def run_quickstart(
             if argv[0] == "simulate-grpo" and grpo_windows is not None:
                 with open(root / "run/filtered.jsonl", "rb") as kept, open(root / "run/train.jsonl", "wb") as train:
                     train.writelines(itertools.islice(kept, grpo_windows))
-            code, output, rss[argv[0]] = run_stage([sys.executable, "-m", "rankfit.cli", *argv], root, env)
+            code, output, rss[argv[0]] = run_stage(spawner, [sys.executable, "-m", "rankfit.cli", *argv], root, env)
             if code != 0:
                 sys.stderr.write(f"rankfit {argv[0]} ({src}) exited {code}:\n{output}")
                 return None
         return {path: digest for digest, path in digests(root)}, rss
 
 
-def main() -> int:
+def main(spawner: subprocess.Popen) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC, help="directory holding the rankfit package")
     parser.add_argument("--against", type=Path, default=None,
@@ -115,7 +150,8 @@ def main() -> int:
     args = parser.parse_args()
 
     trees = [args.src] if args.against is None else [args.src, args.against]
-    runs = [run_quickstart(src, args.n_jobs, args.n_background, args.seed, args.grpo_windows) for src in trees]
+    runs = [run_quickstart(spawner, src, args.n_jobs, args.n_background, args.seed, args.grpo_windows) for src in trees]
+    floor = floor_mb(spawner)
     if None in runs:
         return 1
     files = [digest for digest, _ in runs]
@@ -136,8 +172,9 @@ def main() -> int:
             mb = [rss[stage] for _, rss in runs]
             change = f" {mb[1] - mb[0]:+8.2f}" if len(mb) == 2 else ""
             sys.stdout.write(f"{stage:<14}" + "".join(f" {v:8.2f}" for v in mb) + f"{change}\n")
+        sys.stdout.write(f"{'# floor':<14} {floor:8.2f}\n")
     return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(SPAWNER))

@@ -7,8 +7,20 @@ so that tests compare two separately written routes to the same answer.
 
 import hashlib
 import itertools
+import json
 import math
 import random
+
+
+def hashlib_child_seed(seed, tag):
+    """The first 8 bytes, big-endian, of hashlib's (OpenSSL's) sha256 of "seed|tag" in UTF-8."""
+    digest = hashlib.sha256(f"{seed}|{tag}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def hashlib_config_hash(config):
+    """The first 16 hex digits of hashlib's sha256 of the config as key-sorted JSON."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def naive_dcg(rels, k):
@@ -207,8 +219,7 @@ def synthetic_by_loops(
     [(job_id, candidates)]).
     """
     skills_vocab, titles, degrees, locations = vocab
-    digest = hashlib.sha256(f"{seed}|synthetic".encode("utf-8")).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    rng = random.Random(hashlib_child_seed(seed, "synthetic"))
     docs = {}
     resume_skills = {}
 

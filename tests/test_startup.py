@@ -1,8 +1,11 @@
-"""Each CLI stage loads numpy only when its code path uses it, and no stage loads requests.
+"""Each CLI stage loads numpy only when its code path uses it, no stage loads requests, and none loads OpenSSL.
 
-Every stage is its own process, so a module-level import of either costs
-every stage its start-up time. Each run here is a fresh interpreter, because
-the test process itself has numpy loaded.
+Every stage is its own process, so a module-level import of any of them
+costs every stage its start-up time and peak RSS. OpenSSL's libcrypto comes
+in through ``_hashlib`` (``import hashlib``) or ``ssl``; the package hashes
+with ``seeding.sha256``, the interpreter's built-in SHA-256, and loads
+``ssl`` only for an https endpoint. Each run here is a fresh interpreter,
+because the test process itself has numpy and hashlib loaded.
 """
 
 import json
@@ -11,7 +14,7 @@ import pytest
 
 from conftest import run_rankfit
 
-# (command line, third-party modules it may load); {d} is the data directory
+# (command line, the probed modules it may load); {d} is the data directory
 _STAGES = {
     "--version": (["--version"], []),
     "gen-synthetic": (["gen-synthetic", "--out-dir", "{d}", "--n-jobs", "6", "--n-background", "60", "--seed", "4"], ["numpy"]),
@@ -55,7 +58,7 @@ def test_stage_loads_only_the_modules_it_uses(stage, stage_runs):
 
 
 def test_endpoint_annotate_loads_neither(stage_runs, data, http_server):
-    """The HTTP client is the standard library's, so an endpoint stage loads no third-party module."""
+    """The HTTP client is the standard library's, so an endpoint stage loads no third-party module, and over http no OpenSSL."""
     assert stage_runs["build-windows"][0] == 0
     config = data / "endpoint.json"
     config.write_text(json.dumps({"ranker": {"endpoint": {"base_url": http_server.url, "model": "m", "timeout_s": 5}}}))
