@@ -80,7 +80,7 @@ CONFIG_SECTIONS = {
 }
 
 
-def _command(*paths: str):
+def _command(*paths: str, out_files: tuple[str, ...] = ()):
     """Add a ``--<name>`` file option per path, --seed and --config; map toolkit errors to exit 2.
 
     A degraded run's exit code 1 passes through. A file option reaches the
@@ -89,7 +89,9 @@ def _command(*paths: str):
     a command may not need --labels. The command receives the loaded
     ``config`` dict, whose keys and those of every section in it have been
     checked against CONFIG_SECTIONS, whether or not the command reads that
-    section.
+    section. It returns (exit code, effective config); once it has returned,
+    the ``<artifact>.meta.json`` sidecars are written last, one for --out or
+    one per ``out_files`` name in --out-dir.
     """
 
     def decorate(fn):
@@ -105,11 +107,14 @@ def _command(*paths: str):
                         raise ConfigError(f"cannot write {out}: a parent path is not a directory")
                 config = _load_object(config_path)
                 _check_keys(config, "top-level", CONFIG_SECTIONS)
-                code = fn(*args, config=config, **kwargs)
+                code, effective = fn(*args, config=config, **kwargs)
+                meta = {**_provenance(effective, kwargs["seed"]), "config": effective}
+                for artifact in [kwargs["out_dir"] / name for name in out_files] or [kwargs["out_path"]]:
+                    _write_json(Path(f"{artifact}.meta.json"), meta, indent=None)
             except RankfitError as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
-            sys.exit(code or 0)
+            sys.exit(code)
 
         for name in reversed(paths):
             required = name in ("out", "windows", "reranked")
@@ -199,11 +204,6 @@ def _provenance(effective: dict, seed: int) -> dict:
     return {"config_hash": config_hash, "seed": seed, "version": __version__}
 
 
-def _write_meta(artifact: Path, effective: dict, seed: int) -> None:
-    meta = {**_provenance(effective, seed), "config": effective}
-    _write_json(Path(f"{artifact}.meta.json"), meta, indent=None)
-
-
 def _endpoint_from_config(config: dict) -> EndpointConfig:
     endpoint = config.get("ranker", {}).get("endpoint", {})
     if "base_url" not in endpoint or "model" not in endpoint:
@@ -262,7 +262,7 @@ def main():
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--n-jobs", type=int, default=None, help="Number of job posts.")
 @click.option("--n-background", type=int, default=None, help="Background resume count.")
-@_command()
+@_command(out_files=("corpus.jsonl", "labels.jsonl", "pools.jsonl"))
 def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
     """Generate a synthetic corpus, labels, and retrieval pools."""
     cfg = _settings(SyntheticConfig, config, "synthetic", n_jobs=n_jobs, n_background=n_background, seed=seed)
@@ -270,12 +270,10 @@ def cmd_gen_synthetic(out_dir, n_jobs, n_background, config, seed):
         labels, pools = generate(cfg, lambda doc: fh.write(corpus_line(doc)))
     write_labels(labels, out_dir / "labels.jsonl")
     write_pools(pools, out_dir / "pools.jsonl")
-    for name in ("corpus.jsonl", "labels.jsonl", "pools.jsonl"):
-        _write_meta(out_dir / name, {"synthetic": asdict(cfg)}, seed)
     click.echo(
         f"wrote {cfg.n_background + cfg.n_jobs + len(labels)} documents, {len(labels)} labels, {len(pools)} pools to {out_dir}"
     )
-    return 0
+    return 0, {"synthetic": asdict(cfg)}
 
 
 @main.command("build-windows")
@@ -299,12 +297,11 @@ def cmd_build_windows(corpus_path, labels_path, pools_path, out_path, config, se
         "provenance": _provenance(effective, seed),
     }
     _write_json(out_path.parent / "skips.json", skip_report)
-    _write_meta(out_path, effective, seed)
     click.echo(
         f"jobs kept {skip_report['jobs_kept']}/{skip_report['jobs_total']} "
         f"(skipped: {skip_report['skips'] or 'none'}); windows emitted {len(windows)}"
     )
-    return 0
+    return 0, effective
 
 
 @main.command("annotate")
@@ -323,12 +320,11 @@ def cmd_annotate(windows_path, corpus_path, labels_path, out_path, ranker_name, 
 
     annotated, stats = annotate_difficulty(windows, ranker, corpus, cfg, max_workers=_workers(jobs, ranker))
     write_jsonl((w.to_record() for w in annotated), out_path)
-    _write_meta(out_path, {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}, seed)
     click.echo(
         f"annotated {len(annotated)} windows over {stats.trials} trials; "
         f"{len(stats.failed_windows)} windows had no successful trial"
     )
-    return 1 if stats.failed_windows else 0
+    return (1 if stats.failed_windows else 0), {"ranker": ranker_cfg, "annotate_trials": cfg.annotate_trials}
 
 
 @main.command("filter")
@@ -351,9 +347,8 @@ def cmd_filter(windows_path, corpus_path, out_path, strategy, config, seed):
     effective = {"strategy": strategy, "hard_threshold": cfg.hard_threshold}
     if strategy == "subsample_hard":
         effective["subsample_keep"] = cfg.subsample_keep
-    _write_meta(out_path, effective, seed)
     click.echo(f"kept {len(kept)}/{len(windows)} windows under strategy {strategy}{failed}")
-    return 0
+    return 0, effective
 
 
 @main.command("rerank")
@@ -385,7 +380,6 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
         ),
         out_path,
     )
-    _write_meta(out_path, {"engine": asdict(cfg), "ranker": ranker_cfg}, seed)
     if trace:
         calls = ({"job_id": tr.job_id, **asdict(call)} for tr in traces for call in tr.calls)
         write_jsonl(calls, out_path.parent / (out_path.stem + ".trace.jsonl"))
@@ -395,7 +389,7 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
         f"reranked {len(traces)} pools ({len(pools) - len(runnable)} skipped for size != "
         f"{cfg.pool_size}); degraded calls: {degraded}"
     )
-    return 1 if degraded else 0
+    return (1 if degraded else 0), {"engine": asdict(cfg), "ranker": ranker_cfg}
 
 
 @main.command("evaluate")
@@ -427,7 +421,6 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
     effective = {"engine": engine_cfg, "metric_k": metric_k}
     scores = score_run(scored, metric_k)
     _write_json(out_path, {"config": engine_cfg, **scores, "provenance": _provenance(effective, seed)})
-    _write_meta(out_path, effective, seed)
     macro = scores["macro"]
     nb, na = macro[f"ndcg{metric_k}_before"], macro[f"ndcg{metric_k}_after"]
     rb, ra = macro[f"recall{metric_k}_before"], macro[f"recall{metric_k}_after"]
@@ -436,7 +429,7 @@ def cmd_evaluate(pools_path, labels_path, reranked_path, out_path, metric_k, con
         f"positives; {len(by_job) - len(scored)} loaded pools had no reranked row): "
         f"nDCG@{metric_k} {nb:.4f} -> {na:.4f}, Recall@{metric_k} {rb:.4f} -> {ra:.4f}"
     )
-    return 0
+    return 0, effective
 
 
 def _parse_grid(grid: str) -> list[tuple[int, int]]:
@@ -476,9 +469,8 @@ def cmd_ablate(pools_path, corpus_path, labels_path, out_path, grid, t, ranker_n
         click.echo(f"rejected {rej['setting']}: {rej['error']}", err=True)
 
     _write_json(out_path, {"rows": rows, "rejected": rejected})
-    _write_meta(out_path, {"grid": grid, "iterations": engine.iterations, "pool_size": engine.pool_size, "ranker": ranker_cfg}, seed)
     click.echo(f"ablated {len(rows)} of {len(points)} grid points over {len(pools)} pools; rows in {out_path}")
-    return 0
+    return 0, {"grid": grid, "iterations": engine.iterations, "pool_size": engine.pool_size, "ranker": ranker_cfg}
 
 
 @main.command("distill")
@@ -495,12 +487,11 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 
     records, stats = distill_sft(windows, teacher, corpus, max_workers=_workers(None, teacher))
     write_jsonl(records, out_path)
-    _write_meta(out_path, {"teacher": teacher_cfg}, seed)
     click.echo(
         f"kept {stats.kept}/{len(windows)} windows "
         f"(wrong top: {stats.dropped_wrong_top}, malformed: {stats.dropped_malformed})"
     )
-    return 1 if stats.dropped_malformed else 0
+    return (1 if stats.dropped_malformed else 0), {"teacher": teacher_cfg}
 
 
 @main.command("simulate-grpo")
@@ -512,7 +503,7 @@ def cmd_distill(windows_path, corpus_path, labels_path, out_path, teacher_name, 
 @click.option("--learning-rate", type=float, default=4.0, show_default=True, help="Desk-scale override of the recorded 1e-6 default.")
 @click.option("--epochs", type=int, default=GrpoConfig.epochs, show_default=True)
 @click.option("--batch-size", type=int, default=GrpoConfig.batch_size, show_default=True)
-@_command("windows", "corpus")
+@_command("windows", "corpus", out_files=("curve.csv", "policy.json"))
 def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, group_size, beta, learning_rate, epochs, batch_size, config, seed):
     """Train the Plackett-Luce policy simulator on windows and emit its learning curve."""
     corpus = _corpus(corpus_path, windows_path)
@@ -530,13 +521,11 @@ def cmd_simulate_grpo(windows_path, corpus_path, out_dir, reward, features, grou
 
     write_curve(result.curve, out_dir / "curve.csv")
     save_policy(result.policy, out_dir / "policy.json")
-    for name in ("curve.csv", "policy.json"):
-        _write_meta(out_dir / name, {"grpo": {**settings, "features": features}}, seed)
     click.echo(
         f"trained {len(result.curve)} steps on {len(windows)} windows; "
         f"mean reward {initial_reward:.4f} -> {final_reward:.4f}"
     )
-    return 0
+    return 0, {"grpo": {**settings, "features": features}}
 
 
 if __name__ == "__main__":

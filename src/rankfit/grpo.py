@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from .core import Document, open_atomic
 from .errors import ConfigError, InvalidOrdering, NumericalError, check_fields
-from .metrics import RewardGroup, group_advantages, ndcg, rankr1_reward, rearank_reward
+from .metrics import RewardGroup, group_advantages, ndcg, rankr1_reward, rearank_reward, running_total
 from .seeding import child_rng
 from .synthetic import match_score
 from .windows import Window
@@ -359,12 +359,6 @@ def _window_features(policy: PLPolicy, windows: Sequence[Window]) -> np.ndarray:
     return np.stack([policy.features(window) for window in windows])
 
 
-def _running_total(values: np.ndarray) -> float:
-    """Left-to-right sum, in the order a ``total += v`` loop adds (np.sum adds pairwise)."""
-    import numpy as np
-    return float(np.cumsum(values)[-1])
-
-
 def greedy_ndcg4(policy: PLPolicy, windows: Sequence[Window], feats: np.ndarray | None = None) -> float:
     """Mean nDCG@4 when each window is ranked greedily by policy score.
 
@@ -378,7 +372,7 @@ def greedy_ndcg4(policy: PLPolicy, windows: Sequence[Window], feats: np.ndarray 
     gains = np.array([ndcg([int(i == rank) for i in range(k)], k) for rank in range(k)])
     order = np.argsort(-(feats @ policy.theta), axis=1, kind="stable")
     gold = np.array([window.gold_slot() - 1 for window in windows])
-    return _running_total(gains[(order == gold[:, None]).argmax(axis=1)]) / len(windows)
+    return running_total(gains[(order == gold[:, None]).argmax(axis=1)].tolist()) / len(windows)
 
 
 def evaluate_mean_reward(
@@ -399,7 +393,7 @@ def evaluate_mean_reward(
     gold = np.repeat([w.gold_slot() - 1 for w in windows], n)
     table = np.repeat([_rank_rewards(w, cfg.reward) for w in windows], n, axis=0)
     rewards = table[np.arange(len(perms)), (perms == gold[:, None]).argmax(axis=1)]
-    return _running_total(rewards) / len(rewards)
+    return running_total(rewards.tolist()) / len(rewards)
 
 
 def train(policy: PLPolicy, windows: Sequence[Window], cfg: GrpoConfig) -> TrainResult:

@@ -9,16 +9,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyGroup, InvalidK, InvalidNdcg, NoPositives, UnknownCandidate
+
+
+def running_total(values: Iterable[float]) -> float:
+    """Left-to-right float sum: the plain loop that Python 3.11's ``sum()`` runs.
+
+    Python 3.12 made ``sum()`` of floats compensated, which can move the last
+    bit; this total gives the same bytes on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def dcg(rels: Sequence[int], k: int) -> float:
     """Discounted cumulative gain of the first ``k`` positions."""
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    return sum(rel / math.log2(i + 2) for i, rel in enumerate(rels[:k]))
+    return running_total(rel / math.log2(i + 2) for i, rel in enumerate(rels[:k]))
 
 
 def ndcg(rels: Sequence[int], k: int) -> float:
@@ -87,8 +99,8 @@ def group_advantages(rewards: Sequence[float]) -> list[float]:
     first = rewards[0]
     if all(r == first for r in rewards):
         return [0.0] * n
-    mean = sum(rewards) / n
-    std = math.sqrt(sum((r - mean) ** 2 for r in rewards) / n)
+    mean = running_total(rewards) / n
+    std = math.sqrt(running_total((r - mean) ** 2 for r in rewards) / n)
     if std == 0.0:  # spread below float resolution behaves like all-equal
         return [0.0] * n
     return [(r - mean) / std for r in rewards]

@@ -147,11 +147,12 @@ def main(spawner: subprocess.Popen) -> int:
     parser.add_argument("--grpo-windows", type=int, default=None, metavar="N",
                         help="train simulate-grpo on the first N kept windows only")
     parser.add_argument("--rss", action="store_true", help="also print each command's peak RSS in MB, per tree")
-    args = parser.parse_args()
-
-    trees = [args.src] if args.against is None else [args.src, args.against]
-    runs = [run_quickstart(spawner, src, args.n_jobs, args.n_background, args.seed, args.grpo_windows) for src in trees]
-    floor = floor_mb(spawner)
+    try:  # argparse exits on --help or a bad argument; the spawner must still be closed
+        args = parser.parse_args()
+        trees = [args.src] if args.against is None else [args.src, args.against]
+        runs = [run_quickstart(spawner, src, args.n_jobs, args.n_background, args.seed, args.grpo_windows) for src in trees]
+    finally:
+        floor = floor_mb(spawner)
     if None in runs:
         return 1
     files = [digest for digest, _ in runs]

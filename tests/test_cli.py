@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import rankfit.cli
 from rankfit.cli import main
 from rankfit.core import accepted_by_job, load_corpus, load_labels, load_pools, write_corpus, write_jsonl, write_labels
 from rankfit.engine import EngineConfig, evaluate_run
+from rankfit.errors import ConfigError
 from rankfit.grpo import GrpoConfig
 from rankfit.ranker import NoisyOracleRanker
 
@@ -1602,3 +1604,55 @@ def test_every_grpo_setting_is_a_simulate_grpo_option():
     """A GrpoConfig field that only library callers could set fails here; the seed comes from --seed."""
     options = {param.name for param in main.commands["simulate-grpo"].params}
     assert sorted(set(GrpoConfig.__dataclass_fields__) - {"rng_seed"} - options) == []
+
+
+# every command: its arguments in an output directory, and the outputs that get a sidecar
+_SIDECARS = {
+    "gen-synthetic": (["--out-dir", "{out}", "--n-jobs", "5", "--n-background", "30"],
+                      ("corpus.jsonl", "labels.jsonl", "pools.jsonl")),
+    "build-windows": ([], ("w.jsonl",)),  # skips.json gets none
+    "annotate": ([], ("a.jsonl",)),
+    "filter": (["--strategy", "all"], ("f.jsonl",)),
+    "rerank": (["--trace"], ("r.jsonl",)),  # r.trace.jsonl gets none
+    "evaluate": ([], ("e.json",)),
+    "ablate": ([], ("ab.json",)),
+    "distill": ([], ("d.jsonl",)),
+    "simulate-grpo": ([], ("g/curve.csv", "g/policy.json")),
+}
+
+
+@pytest.mark.parametrize("command", _SIDECARS)
+def test_sidecars_are_written_last_and_only_for_artifacts(command, input_files, runner, tmp_path, monkeypatch):
+    """Each artifact gets one sidecar, moved into place after every other output; a stage that exits 2 writes none."""
+    files, _ = input_files
+    extra, artifacts = _SIDECARS[command]
+    real_replace, fail_at, renamed = os.replace, [None], []
+
+    def replace(src, dst):
+        if len(renamed) == fail_at[0]:
+            fail_at[0] = None  # one fault: a later rename goes through
+            raise ConfigError("disk full")
+        renamed.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+    def run(out):
+        renamed.clear()
+        if command == "gen-synthetic":
+            args = [command, *(arg.format(out=out) for arg in extra)]
+        else:
+            args = [*_command_args(command, files, out), *extra]
+        return invoke(runner, args).exit_code
+
+    assert run(tmp_path / "ok") == 0
+    sidecars = [path for path in renamed if path.name.endswith(".meta.json")]
+    assert sorted(sidecars) == sorted(tmp_path / "ok" / f"{name}.meta.json" for name in artifacts)
+    others = renamed[: len(renamed) - len(sidecars)]
+    assert renamed[len(others):] == sidecars  # every sidecar after every other output
+    assert {tmp_path / "ok" / name for name in artifacts} <= set(others)
+
+    fail_at[0] = len(others) - 1  # the last output other than a sidecar fails to move into place
+    assert run(tmp_path / "failed") == 2
+    assert [path.relative_to(tmp_path / "failed") for path in renamed] == [path.relative_to(tmp_path / "ok") for path in others[:-1]]
+    assert list((tmp_path / "failed").rglob("*.meta.json")) == []

@@ -14,6 +14,7 @@ from rankfit.metrics import (
     rankr1_reward,
     rearank_reward,
     recall_at_k,
+    running_total,
 )
 
 from oracles import naive_dcg, naive_ndcg, ndcg4_single_positive_table
@@ -213,6 +214,28 @@ class TestGroupAdvantages:
         shifted = group_advantages([r + shift for r in rewards])
         for a, b in zip(base, shifted):
             assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """``sum()`` in rankfit.metrics is correctly rounded, as Python 3.12's compensated one nearly is."""
+    import rankfit.metrics
+
+    monkeypatch.setattr(rankfit.metrics, "sum", lambda values, start=0: math.fsum(values) + start, raising=False)
+
+
+class TestLeftToRightTotal:
+    """Inputs whose plain and compensated float sums differ: the plain left-to-right total wins on every Python."""
+
+    def test_the_plain_total_of_a_tenth_ten_times(self):
+        assert running_total([0.1] * 10) == 0.9999999999999999 != math.fsum([0.1] * 10)
+
+    def test_dcg(self, compensated_sum):
+        assert dcg([1] * 6, 6) == 3.3046663059874146 == naive_dcg([1] * 6, 6)
+        assert math.fsum(1 / math.log2(i + 2) for i in range(6)) == 3.304666305987414
+
+    def test_group_advantages(self, compensated_sum):
+        assert group_advantages([0.1] * 10 + [0.3]) == [-0.3162277660168376] * 10 + [3.16227766016838]
 
 
 class TestRewardGroup:

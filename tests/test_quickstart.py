@@ -5,19 +5,23 @@ compares the sha256 of each file it writes with a pinned value. The
 ``run/grpo/*`` files are left out: numpy's exp/log may differ by an ulp
 between CPUs, and acceptance criterion 7 covers the simulator's numerics.
 A change that alters an artifact on purpose updates these pins and records
-the old and new ``quickstart_digest.py`` lists in CHANGES.md.
+the old and new ``quickstart_digest.py`` lists in CHANGES.md. The digest
+script itself must end without a traceback on ``--help`` and on a bad
+argument.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from rankfit.cli import main
 
-_spec = importlib.util.spec_from_file_location(
-    "quickstart_digest", Path(__file__).parent / "data" / "quickstart_digest.py"
-)
+SCRIPT = Path(__file__).parent / "data" / "quickstart_digest.py"
+_spec = importlib.util.spec_from_file_location("quickstart_digest", SCRIPT)
 quickstart_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(quickstart_digest)
 
@@ -55,3 +59,10 @@ def test_quickstart_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     written = {path: digest for digest, path in quickstart_digest.digests(tmp_path)}
     assert {"run/grpo/curve.csv", "run/grpo/policy.json"} <= set(written)
     assert {path: d for path, d in written.items() if not path.startswith("run/grpo/")} == QUICKSTART_SHA256
+
+
+@pytest.mark.parametrize("args,code", [(["--help"], 0), (["--seed", "x"], 2)])
+def test_digest_script_closes_its_spawner_when_argparse_exits(args, code):
+    proc = subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
