@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .core import (
     corpus_line,
     iter_job_rows,
     iter_jsonl,
+    jsonl_line,
     load_corpus,
     load_labels,
     load_pools,
@@ -372,21 +374,17 @@ def cmd_rerank(pools_path, corpus_path, labels_path, out_path, ranker_name, p_fl
     runnable = [p for p in pools if len(p.candidates) == cfg.pool_size]
     traces = rerank_pools(runnable, ranker, cfg, corpus, max_workers=_workers(jobs, ranker))
 
-    write_jsonl(
-        (
-            {"job_id": tr.job_id, "initial": list(tr.initial), "final": list(tr.final),
-             "degraded_calls": tr.degraded_calls}
-            for tr in traces
-        ),
-        out_path,
-    )
-    if trace:
-        calls = ({"job_id": tr.job_id, **asdict(call)} for tr in traces for call in tr.calls)
-        write_jsonl(calls, out_path.parent / (out_path.stem + ".trace.jsonl"))
-
-    degraded = sum(tr.degraded_calls for tr in traces)
+    degraded = 0  # each pool is written as it arrives; held are its calls and those of later pools already done
+    trace_path = out_path.parent / (out_path.stem + ".trace.jsonl")
+    with (open_atomic(trace_path) if trace else nullcontext()) as trace_fh, open_atomic(out_path) as out:
+        for tr in traces:
+            out.write(jsonl_line({"job_id": tr.job_id, "initial": list(tr.initial), "final": list(tr.final),
+                                  "degraded_calls": tr.degraded_calls}))
+            if trace:
+                trace_fh.writelines(jsonl_line({"job_id": tr.job_id, **asdict(call)}) for call in tr.calls)
+            degraded += tr.degraded_calls
     click.echo(
-        f"reranked {len(traces)} pools ({len(pools) - len(runnable)} skipped for size != "
+        f"reranked {len(runnable)} pools ({len(pools) - len(runnable)} skipped for size != "
         f"{cfg.pool_size}); degraded calls: {degraded}"
     )
     return (1 if degraded else 0), {"engine": asdict(cfg), "ranker": ranker_cfg}

@@ -346,13 +346,15 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> list[_R]:
-    """``[fn(item) for item in items]``, on up to ``workers`` threads when workers > 1.
+def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> Iterator[_R]:
+    """``fn(item)`` for each item, yielded in input order as soon as it is ready; on up to ``workers`` threads when workers > 1.
 
-    Results keep input order, and the error of the first failing item in
-    input order is the one raised.
+    The error of the first failing item in input order is the one raised. A
+    result is let go once yielded; when the consumer stops early, unstarted
+    items are cancelled.
     """
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items))
+        yield from executor.map(fn, items)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from statistics import fmean
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Document, RankedPool, parallel_map
 from .errors import ConfigError, check_fields
@@ -142,8 +141,8 @@ def rerank_pools(
     cfg: EngineConfig,
     corpus: Mapping[str, Document],
     max_workers: int = 1,
-) -> list[RerankTrace]:
-    """Re-rank every pool, up to ``max_workers`` pools at a time; traces keep pool order."""
+) -> Iterator[RerankTrace]:
+    """Re-rank every pool, up to ``max_workers`` pools at a time; each trace is yielded, in pool order, once it is ready."""
     return parallel_map(lambda pool: rerank_pool(pool, ranker, cfg, corpus), pools, max_workers)
 
 
@@ -155,7 +154,7 @@ def score_run(
     ``scored`` holds (pool, final ordering, degraded calls) triples. Pools
     without a single accepted candidate cannot be scored and are excluded
     (their job ids are reported). Rows are sorted by job id; each macro
-    figure is the ``fmean`` of its per-job column.
+    figure is ``math.fsum`` of its per-job column over the job count, as in ``fmean``.
     """
     per_job, excluded = [], []
     for pool, final, degraded_calls in scored:
@@ -177,7 +176,7 @@ def score_run(
     per_job.sort(key=lambda row: row["job_id"])
 
     def macro(key: str) -> float:
-        return fmean(row[key] for row in per_job) if per_job else 0.0
+        return math.fsum(row[key] for row in per_job) / len(per_job) if per_job else 0.0
 
     nb, na = macro(f"ndcg{metric_k}_before"), macro(f"ndcg{metric_k}_after")
     rb, ra = macro(f"recall{metric_k}_before"), macro(f"recall{metric_k}_after")

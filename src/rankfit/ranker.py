@@ -301,14 +301,15 @@ class EndpointConfig:
                 parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
                 # it goes on the request line and in Host as written; urlsplit drops tabs and newlines
                 and re.fullmatch(r"[!-~]+", self.base_url) and not re.search("[?#]", self.base_url)
-                and "@" not in parts.netloc
+                and "@" not in parts.netloc  # then the idna codec's ASCII host rule: the last label may be empty
+                and re.fullmatch(r"([^.]{1,63}\.)*[^.]{0,63}", parts.hostname)
             )
         except (AttributeError, ValueError):
             usable = False
         if not usable:
             raise ConfigError(
-                "endpoint base_url must be an http:// or https:// URL with a host, in printable ASCII with no "
-                f"space, user info, query or fragment, got {self.base_url!r}"
+                "endpoint base_url must be an http:// or https:// URL with a host whose labels are 1-63 characters, "
+                f"in printable ASCII with no space, user info, query or fragment, got {self.base_url!r}"
             )
         check_fields(self, ("model",), str, bool, "a non-empty string", "endpoint ")
         check_fields(self, ("api_key_env",), (str, type(None)), lambda v: True, "null or a string", "endpoint ")
@@ -416,8 +417,8 @@ class _Connection:
     def open(self):
         import socket
 
-        host = self.url.hostname
-        sock = socket.create_connection((host, self.url.port or (443 if self.ssl_context else 80)), self.timeout_s)
+        host = self.url.hostname  # as bytes a checked ASCII host skips getaddrinfo's idna codec, and its imports
+        sock = socket.create_connection((host.encode("ascii"), self.url.port or (443 if self.ssl_context else 80)), self.timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self.ssl_context is not None:
             sock = self.ssl_context.wrap_socket(sock, server_hostname=host)

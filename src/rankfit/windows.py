@@ -255,7 +255,7 @@ def annotate_difficulty(
                 hits += 1
         return replace(window, r_bar=hits / valid if valid else None)
 
-    annotated = parallel_map(annotate_one, windows, max_workers)
+    annotated = list(parallel_map(annotate_one, windows, max_workers))
     stats = AnnotateStats(
         trials=cfg.annotate_trials,
         failed_windows=[w.window_id for w in annotated if w.r_bar is None],
@@ -335,7 +335,7 @@ def judge_windows(
         except (TransportFailure, MalformedAnswer):
             return None
 
-    verdicts = parallel_map(verdict, windows, max_workers)
+    verdicts = list(parallel_map(verdict, windows, max_workers))
     kept = [w for w, v in zip(windows, verdicts) if v is not False]
     return kept, [w.window_id for w, v in zip(windows, verdicts) if v is None]
 
@@ -359,9 +359,9 @@ def distill_sft(
     generations whose parsed answer does not put the gold on top are dropped,
     and unusable (degraded) teacher outputs are dropped and counted. The
     teacher answers up to ``max_workers`` windows at a time; records and
-    counts follow input order. The stats are complete on return, while the
-    records are an iterator that renders each prompt only as it is consumed,
-    so a writer never holds more than one.
+    counts follow input order, and an unkept response is dropped as it is read.
+    The stats are complete on return, while the records are an iterator that
+    renders each prompt only as it is consumed, so a writer never holds more than one.
     """
     requests = [window_request(w, corpus, "teacher", SamplingParams()) for w in windows]
     responses = parallel_map(teacher, requests, max_workers)

@@ -93,7 +93,8 @@ def rng():
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs the CLI as the console script does, then reports which of the heavy
-# third-party modules, and which of the two ways into OpenSSL, the process loaded
+# third-party modules, which of the two ways into OpenSSL, and which of the
+# standard library's heavier modules no stage needs, the process loaded
 _PROBE = """
 import json, sys
 from rankfit.cli import main
@@ -101,15 +102,19 @@ try:
     main(sys.argv[1:], prog_name="rankfit")
 except SystemExit as exc:
     code = exc.code or 0
-print(json.dumps({"exit": code, "loaded": [m for m in ("numpy", "requests", "_hashlib", "ssl") if m in sys.modules]}))
+print(json.dumps({"exit": code, "loaded": [m for m in ("numpy", "requests", "_hashlib", "ssl", "statistics", "decimal", "unicodedata") if m in sys.modules]}))
 """
 
 
 def run_rankfit(args, timeout=60):
-    """``rankfit ARGS`` in a fresh interpreter: (exit code, output, ["numpy", "requests", "_hashlib", "ssl"] subset loaded).
+    """``rankfit ARGS`` in a fresh interpreter: (exit code, output, the ``_PROBE`` modules it loaded).
 
-    ``_hashlib`` (what ``import hashlib`` loads) and ``ssl`` each load
-    OpenSSL's libcrypto.
+    The probed modules are numpy, requests, ``_hashlib`` and ``ssl``, which
+    each load OpenSSL's libcrypto (``_hashlib`` is what ``import hashlib``
+    loads), and ``statistics``, ``decimal`` and ``unicodedata``.
+    ``statistics`` imports ``fractions`` and ``decimal``; ``unicodedata``
+    comes with the ``idna`` codec that a ``str`` host makes
+    ``socket.getaddrinfo`` load.
 
     A run that outlives ``timeout`` seconds raises subprocess.TimeoutExpired.
     """

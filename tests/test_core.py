@@ -3,6 +3,7 @@ import json
 import random
 import re
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -357,7 +358,7 @@ class TestParallelMap:
     @pytest.mark.parametrize("workers", [0, 1, 4, 16])
     def test_keeps_input_order(self, workers):
         items = list(range(5))
-        assert parallel_map(lambda x: x * x, items, workers) == [0, 1, 4, 9, 16]
+        assert list(parallel_map(lambda x: x * x, items, workers)) == [0, 1, 4, 9, 16]
 
     def test_more_workers_than_items(self):
         release = threading.Event()
@@ -369,7 +370,7 @@ class TestParallelMap:
                 release.set()
             return f"item{x}"
 
-        assert parallel_map(slow_first, [0, 1, 2], 8) == ["item0", "item1", "item2"]
+        assert list(parallel_map(slow_first, [0, 1, 2], 8)) == ["item0", "item1", "item2"]
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_raises_first_failure_in_input_order(self, workers):
@@ -385,7 +386,39 @@ class TestParallelMap:
             return x
 
         with pytest.raises(ValueError, match="item 1"):
-            parallel_map(fn, [0, 1, 2, 3], workers)
+            list(parallel_map(fn, [0, 1, 2, 3], workers))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_yields_the_first_result_before_the_last_item_runs(self, workers):
+        first_taken, finished = threading.Event(), []
+
+        def fn(x):
+            if x == 7:  # finishes only once the consumer holds item 0's result
+                assert first_taken.wait(timeout=2)
+            finished.append(x)
+            return x
+
+        results = parallel_map(fn, range(8), workers)
+        assert next(results) == 0
+        assert 7 not in finished
+        first_taken.set()
+        assert list(results) == list(range(1, 8))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_consumer_that_stops_early_leaves_later_items_unstarted(self, workers):
+        started = []
+
+        def fn(x):
+            started.append(x)
+            time.sleep(0.01 if x else 0)
+            return x
+
+        results = parallel_map(fn, range(100), workers)
+        assert next(results) == 0
+        results.close()
+        seen = len(started)
+        time.sleep(0.05)
+        assert len(started) == seen <= 1 + 2 * workers
 
 
 

@@ -14,7 +14,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "rankfit"
 # (module, innermost enclosing function) of each builtin sum() of integers
 _INTEGER_SUMS = [
-    ("cli.py", "cmd_rerank"),  # degraded calls
     ("engine.py", "degraded_calls"),
     ("engine.py", "score_run"),  # degraded calls
     ("metrics.py", "recall_at_k"),  # positives

@@ -244,6 +244,21 @@ def test_endpoint_seconds_are_bounded_at_one_day(key, rule):
         endpoint_cfg(**{key: 86400.5})
 
 
+@pytest.mark.parametrize(
+    "host,usable",
+    [(f"{'a' * 63}.example", True), ("example.test.", True), ("[::1]", True),  # the last label may be empty
+     (f"{'a' * 64}.example", False), (f"example.{'a' * 64}", False), ("a..b", False), (".example", False), ("..", False)],
+)
+def test_endpoint_host_labels_follow_the_idna_ascii_rule(host, usable):
+    """A host ``socket.getaddrinfo`` would reject in its idna codec exits 2 up front."""
+    url = f"http://{host}:8080"
+    if usable:
+        assert endpoint_cfg(base_url=url).base_url == url
+    else:
+        with pytest.raises(ConfigError, match="host whose labels are 1-63 characters"):
+            endpoint_cfg(base_url=url)
+
+
 class TestLlmRanker:
     """The client's status and body rules, against ``fake_endpoint`` in place of its transport."""
 
@@ -673,7 +688,7 @@ class TestWireFormat:
     @pytest.mark.parametrize("key", [None, "sk-1"])
     @pytest.mark.parametrize(
         "base_url,address,host",
-        [("http://example.test:8080/api", ("example.test", 8080), "example.test:8080"), ("http://[::1]", ("::1", 80), "[::1]")],
+        [("http://example.test:8080/api", (b"example.test", 8080), "example.test:8080"), ("http://[::1]", (b"::1", 80), "[::1]")],
     )
     def test_one_write_per_request_with_the_exact_head(self, base_url, address, host, key, monkeypatch):
         sockets = _fake_sockets(monkeypatch, _length_reply() * 2)
